@@ -9,7 +9,7 @@ regret-triggered event reallocation, and receding-horizon online allocation.
 
 from .core import (DEFAULT_MAX_DEVIATION, DEFAULT_SLACK_PENALTY,
                    AllocationConstraints, DimensionMismatch,
-                   InfeasibleSetError, NetworkDynamics, NetworkState,
+                   InfeasibleSetError, NetworkState,
                    ScenarioConfig, ScenarioValidationError, compute_residual,
                    validate_scenario)
 from .engine import (SimResult, SimulationError, compare_policies,
@@ -35,7 +35,7 @@ __all__ = [
     "AllocationConstraints", "AllocationSolution", "BoxSet",
     "CappedSimplexSet", "ControlOutput", "DEFAULT_MAX_DEVIATION",
     "DEFAULT_SLACK_PENALTY", "DigitalTwin", "DimensionMismatch",
-    "EventHistory", "InfeasibleSetError", "NetworkDynamics", "NetworkState",
+    "EventHistory", "InfeasibleSetError", "NetworkState",
     "PGAConfig", "PGAResult", "PerformanceSample", "PolicyKind",
     "RegretTracker", "ScenarioConfig", "ScenarioValidationError", "SimResult",
     "SimulationError", "SmoothConvexProblem", "SolverError",

@@ -50,8 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--seed", type=_seed_value, default=None,
                       help="master seed (default: scenario's master_seed)")
     cmp_.add_argument("--out", default=".", help="output directory")
-    cmp_.add_argument("--workers", type=int, default=1,
-                      help="thread workers for the four policy runs")
+    # the policies always run one after another; the flag stays so command
+    # lines that pin it to 1 still parse
+    cmp_.add_argument("--workers", type=int, choices=[1], default=1,
+                      help=argparse.SUPPRESS)
     return parser
 
 
@@ -91,7 +93,7 @@ def cmd_simulate(args, argv) -> int:
 def cmd_compare(args, argv) -> int:
     config = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else config.master_seed
-    results = compare_policies(config, seed, workers=args.workers)
+    results = compare_policies(config, seed)
 
     os.makedirs(args.out, exist_ok=True)
     outputs = {}

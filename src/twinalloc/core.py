@@ -8,6 +8,8 @@ grant time).
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -104,38 +106,6 @@ class AllocationConstraints:
 
 
 @dataclass(frozen=True)
-class NetworkDynamics:
-    """Linear allocation-state dynamics xi_{t+1} = A xi_t + B a_t."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        A = np.array(self.A, dtype=float)
-        B = np.array(self.B, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("A must be square")
-        if B.shape != A.shape:
-            raise DimensionMismatch("B must match A's shape")
-        A.flags.writeable = False
-        B.flags.writeable = False
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-
-    @classmethod
-    def identity_gain(cls, n: int) -> "NetworkDynamics":
-        """A = 0, B = I: the state is simply the previous allocation."""
-        return cls(np.zeros((n, n)), np.eye(n))
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    def step(self, xi: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return self.A @ xi + self.B @ a
-
-
-@dataclass(frozen=True)
 class NetworkState:
     """Current effective allocation state of the network."""
 
@@ -194,6 +164,23 @@ class ScenarioConfig:
     master_seed: int = 0
 
 
+_RANGE_FIELDS = ("requirement_range", "initial_requirement_range")
+_INT_FIELDS = ("n_resources", "n_ticks", "stationary_prefix",
+               "requirement_step_bound", "master_seed")
+_OPTIONAL_FLOAT_FIELDS = ("capacity_b", "epsilon_per_step")
+_FLOAT_FIELDS = ("gap", "rho")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    # integers first: math.isfinite overflows on ints beyond float range
+    return _is_integer(value) or (isinstance(value, numbers.Real)
+                                  and math.isfinite(value))
+
+
 def validate_scenario(config: ScenarioConfig,
                       requirements: np.ndarray | None = None) -> ScenarioConfig:
     """Check every ScenarioConfig invariant; raise with named diagnostics.
@@ -201,7 +188,20 @@ def validate_scenario(config: ScenarioConfig,
     With a realized initial requirement vector, additionally warns when the
     implied soft lower bounds cannot all fit inside the capacity.
     """
-    diags = []
+    diags = [f"{key} must be an integer" for key in _INT_FIELDS
+             if not _is_integer(getattr(config, key))]
+    diags += [f"{key} must be a pair of integers" for key in _RANGE_FIELDS
+              if not (len(getattr(config, key)) == 2
+                      and all(map(_is_integer, getattr(config, key))))]
+    diags += [f"{key} must be a finite number" for key in _FLOAT_FIELDS
+              if not _is_finite(getattr(config, key))]
+    diags += [f"{key} must be a finite number when given"
+              for key in _OPTIONAL_FLOAT_FIELDS
+              if getattr(config, key) is not None
+              and not _is_finite(getattr(config, key))]
+    if diags:
+        raise ScenarioValidationError(diags)
+
     if config.n_resources < 1:
         diags.append("n_resources must be >= 1")
     if config.n_ticks < 1:
@@ -230,8 +230,8 @@ def validate_scenario(config: ScenarioConfig,
         diags.append("epsilon_per_step must be positive when given")
     if config.rho < 0:
         diags.append("rho must be >= 0")
-    if config.master_seed < 0:
-        diags.append("master_seed must be a nonnegative integer")
+    if not 0 <= config.master_seed < 2 ** 64:
+        diags.append("master_seed must fit in an unsigned 64-bit int")
     if diags:
         raise ScenarioValidationError(diags)
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_MAX_DEVIATION, AllocationConstraints,
-                   NetworkDynamics, NetworkState, ScenarioConfig,
+from .core import (_FLOAT_FIELDS, _INT_FIELDS, _OPTIONAL_FLOAT_FIELDS,
+                   _RANGE_FIELDS, DEFAULT_MAX_DEVIATION,
+                   AllocationConstraints, NetworkState, ScenarioConfig,
                    ScenarioValidationError, compute_residual,
                    validate_scenario)
 from .manager import (EventHistory, PolicyKind, allocate_equal,
@@ -119,7 +120,6 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
     requirements = draw_initial_requirements(config, seed)
     capacity = (float(config.capacity_b) if config.capacity_b is not None
                 else float(requirements.sum()))
-    dynamics = NetworkDynamics.identity_gain(n)
     xi = NetworkState.zeros(n)
 
     residual_series = np.empty(n_ticks)
@@ -168,7 +168,7 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
                     horizon = estimate_event_horizon(history)
                     forecast = _stack_forecasts(twins, horizon)
                     held_alloc = allocate_event(
-                        xi, forecast, dynamics, constraints, horizon).allocation
+                        xi, forecast, constraints, horizon).allocation
                     history.record(t)
                     realloc_ticks.append(t)
                     tau_last = t
@@ -177,8 +177,7 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
                 alloc = held_alloc
             else:
                 forecast = _stack_forecasts(twins, 1)
-                alloc = allocate_online(
-                    xi, forecast, dynamics, constraints, N=1).allocation
+                alloc = allocate_online(xi, forecast, constraints).allocation
                 if t >= 1:
                     realloc_ticks.append(t)
 
@@ -189,7 +188,7 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
             residual_series[t] = compute_residual(k_prime, alloc)[1]
             regret_series[t] = [tr.cumulative_regret_R for tr in trackers]
             allocation_series[t] = alloc
-            xi = NetworkState(dynamics.step(xi.xi, alloc))
+            xi = NetworkState(alloc)
         except SimulationError:
             raise
         except Exception as exc:
@@ -209,47 +208,37 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
                      allocation_series=allocation_series)
 
 
-def compare_policies(config: ScenarioConfig, seed: int,
-                     workers: int = 1) -> dict[PolicyKind, SimResult]:
+def compare_policies(config: ScenarioConfig,
+                     seed: int) -> dict[PolicyKind, SimResult]:
     """Run all four policies on identical requirement trajectories.
 
     Per-policy runs are fully independent (separate twins, separate RNG
-    streams rebuilt from the same seed), so optional thread workers cannot
-    change any result.
+    streams rebuilt from the same seed).
     """
-    kinds = list(PolicyKind)
-    if workers <= 1:
-        results = [run_scenario(config, kind, seed) for kind in kinds]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(kinds))) as pool:
-            futures = [pool.submit(run_scenario, config, kind, seed)
-                       for kind in kinds]
-            results = [f.result() for f in futures]
-    return dict(zip(kinds, results))
+    return {kind: run_scenario(config, kind, seed) for kind in PolicyKind}
 
 
 # -- scenario files ---------------------------------------------------------
 
 _SCENARIO_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
-_RANGE_FIELDS = ("requirement_range", "initial_requirement_range")
-_INT_FIELDS = ("n_resources", "n_ticks", "stationary_prefix",
-               "requirement_step_bound", "master_seed")
-_OPTIONAL_FLOAT_FIELDS = ("capacity_b", "epsilon_per_step")
-_FLOAT_FIELDS = ("gap", "rho")
 
 
 def _as_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioValidationError([f"{key} must be an integer"])
-    if float(value) != int(value):
-        raise ScenarioValidationError([f"{key} must be an integer"])
-    return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    # json.load reads NaN and Infinity as floats; is_integer() rejects both
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ScenarioValidationError([f"{key} must be an integer"])
 
 
 def _as_float(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioValidationError([f"{key} must be a number"])
-    return float(value)
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number; int beyond float range
+        pass
+    raise ScenarioValidationError([f"{key} must be a finite number"])
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:

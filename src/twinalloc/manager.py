@@ -11,24 +11,18 @@ from __future__ import annotations
 
 from enum import Enum
 from dataclasses import dataclass, field
-from math import floor, sqrt
+from math import floor
 
 import numpy as np
 
-from .core import AllocationConstraints, NetworkDynamics, NetworkState
-from .solver import (CappedSimplexSet, PGAConfig, SmoothConvexProblem,
-                     hinge_quadratic_objective, hinge_quadratic_solve,
-                     pga_solve, project_capped_simplex)
+from .core import AllocationConstraints, NetworkState
+from .solver import (hinge_quadratic_objective, hinge_quadratic_solve,
+                     project_capped_simplex)
 from .twin import check_satisfaction
 
 DEFAULT_WINDOW_M = 5
 DEFAULT_HORIZON = 10
 DEFAULT_MAX_REALLOCATION_PERIOD = 25
-
-# iteration ceiling for allocation solves; the penalty weight makes the
-# effective condition number about 2*rho, so tens of thousands of iterations
-# is normal and this stays far from binding
-_ALLOC_MAX_ITER = 400_000
 
 
 class PolicyKind(Enum):
@@ -118,11 +112,6 @@ def allocate_static(expected_r, constraints: AllocationConstraints
                               objective_value=objective)
 
 
-def _is_memoryless_identity(dynamics: NetworkDynamics) -> bool:
-    return (not np.any(dynamics.A)
-            and np.array_equal(dynamics.B, np.eye(dynamics.n)))
-
-
 def _check_forecast(forecast, n: int, horizon: int) -> np.ndarray:
     fc = np.asarray(forecast, dtype=float)
     if fc.ndim == 1:
@@ -137,206 +126,61 @@ def _check_forecast(forecast, n: int, horizon: int) -> np.ndarray:
 
 
 def allocate_online(state: NetworkState, forecast,
-                    dynamics: NetworkDynamics,
-                    constraints: AllocationConstraints,
-                    N: int = 1) -> AllocationSolution:
-    """Receding-horizon allocation; returns the first step of the plan.
+                    constraints: AllocationConstraints) -> AllocationSolution:
+    """Receding-horizon allocation for the next step.
 
-    Minimizes the tracking error of the allocation state against the
-    forecast over N steps plus the slack penalty, subject to the per-step
-    budget set. The memoryless identity-gain case reduces to a single
-    hinge-penalized tracking solve and takes a compiled fast path.
+    Minimizes tracking error against forecast row 1 plus the slack penalty
+    over the budget set; the objective adds the current state's cost
+    against row 0. The next allocation state is the allocation itself.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     n = constraints.n
-    if state.n != n or dynamics.n != n:
-        raise ValueError("state/dynamics/constraints dimensions disagree")
-    fc = _check_forecast(forecast, n, N)
+    if state.n != n:
+        raise ValueError("state/constraints dimensions disagree")
+    fc = _check_forecast(forecast, n, 1)
     rho = constraints.slack_penalty_rho
     dev_floor = constraints.requested - constraints.max_deviation
     head_cost = float(np.sum((state.xi - fc[0]) ** 2))
-
-    if N == 1 and _is_memoryless_identity(dynamics):
-        target = fc[1]
-        a, used = hinge_quadratic_solve(
-            x0=target, target=target, soft_lower=constraints.lower_bounds,
-            dev_floor=dev_floor, weight=1.0, rho=rho,
-            capacity=constraints.capacity_b, max_iterations=_ALLOC_MAX_ITER)
-        objective = head_cost + hinge_quadratic_objective(
-            a, target, constraints.lower_bounds, dev_floor, 1.0, rho)
-        return AllocationSolution(allocation=a,
-                                  slack_gamma=_slack_for(a, constraints),
-                                  objective_value=objective, iterations=used)
-
-    # general dynamics: lift to a least-squares problem in the stacked
-    # horizon allocations with per-step slack penalties
-    A, B = dynamics.A, dynamics.B
-    lower = constraints.lower_bounds
-    requested = constraints.requested
-
-    def rollout(v):
-        plan = v.reshape(N, n)
-        xi = state.xi
-        states = []
-        for j in range(N):
-            xi = A @ xi + B @ plan[j]
-            states.append(xi)
-        return plan, states
-
-    def objective_fn(v):
-        plan, states = rollout(v)
-        cost = head_cost
-        for j, xi in enumerate(states):
-            cost += float(np.sum((xi - fc[j + 1]) ** 2))
-        for j in range(N):
-            cost += rho * float(np.sum(np.maximum(lower - plan[j], 0.0) ** 2))
-            cost += rho * float(np.sum(
-                np.maximum(dev_floor - plan[j], 0.0) ** 2))
-        return cost
-
-    def gradient_fn(v):
-        plan, states = rollout(v)
-        grad = np.zeros((N, n))
-        # adjoint sweep for the tracking terms
-        lam = np.zeros(n)
-        for j in range(N - 1, -1, -1):
-            lam = lam + 2.0 * (states[j] - fc[j + 1])
-            grad[j] += B.T @ lam
-            lam = A.T @ lam
-        for j in range(N):
-            grad[j] -= 2.0 * rho * np.maximum(lower - plan[j], 0.0)
-            grad[j] -= 2.0 * rho * np.maximum(dev_floor - plan[j], 0.0)
-        return grad.ravel()
-
-    # Lipschitz bound via the lifted input-to-state map
-    G = np.zeros((N * n, N * n))
-    power = [np.eye(n)]
-    for _ in range(N - 1):
-        power.append(A @ power[-1])
-    for j in range(N):          # state j+1 block row
-        for s in range(j + 1):  # input s block column
-            G[j * n:(j + 1) * n, s * n:(s + 1) * n] = power[j - s] @ B
-    lipschitz = 2.0 * float(np.linalg.eigvalsh(G.T @ G)[-1]) + 4.0 * rho
-
-    feasible = _ProductCappedSimplex(n=n, steps=N,
-                                     capacity=constraints.capacity_b)
-    problem = SmoothConvexProblem(objective=objective_fn, gradient=gradient_fn,
-                                  lipschitz_l=lipschitz, feasible_set=feasible)
-    x0 = np.tile(fc[1], N)
-    result = pga_solve(problem, x0,
-                       PGAConfig(step_alpha=1.0 / lipschitz,
-                                 max_iterations=_ALLOC_MAX_ITER))
-    plan = result.x.reshape(N, n)
-    slack = np.concatenate([
-        np.maximum(lower - plan, 0.0).max(axis=0),
-        np.maximum(dev_floor - plan, 0.0).max(axis=0)])
-    return AllocationSolution(allocation=plan[0], slack_gamma=slack,
-                              objective_value=float(result.objective_trace[-1]),
-                              iterations=result.iterations)
-
-
-@dataclass(frozen=True)
-class _ProductCappedSimplex:
-    """Product of per-step budget sets over a stacked horizon vector."""
-
-    n: int
-    steps: int
-    capacity: float
-
-    def project(self, v):
-        plan = np.asarray(v, dtype=float).reshape(self.steps, self.n)
-        zeros = np.zeros(self.n)
-        rows = [project_capped_simplex(row, zeros, self.capacity)
-                for row in plan]
-        return np.concatenate(rows)
-
-    def diameter(self) -> float:
-        per_step = self.capacity * (sqrt(2.0) if self.n >= 2 else 1.0)
-        return per_step * sqrt(self.steps)
-
-    def contains(self, v, tol: float = 1e-9) -> bool:
-        plan = np.asarray(v, dtype=float).reshape(self.steps, self.n)
-        return bool(np.all(plan >= -tol)
-                    and np.all(plan.sum(axis=1) <= self.capacity + tol))
+    target = fc[1]
+    a, passes = hinge_quadratic_solve(
+        target, constraints.lower_bounds, dev_floor, rho,
+        constraints.capacity_b)
+    objective = head_cost + hinge_quadratic_objective(
+        a, target, constraints.lower_bounds, dev_floor, 1.0, rho)
+    return AllocationSolution(allocation=a,
+                              slack_gamma=_slack_for(a, constraints),
+                              objective_value=objective, iterations=passes)
 
 
 def allocate_event(state: NetworkState, forecast,
-                   dynamics: NetworkDynamics,
                    constraints: AllocationConstraints,
                    N_e: int) -> AllocationSolution:
     """One fixed allocation held for the whole predicted inter-event horizon.
 
     Same cost family as allocate_online, but a single decision vector is
-    applied at every step, so with memoryless identity-gain dynamics the
-    tracking term pulls toward the time-mean of the forecast window.
+    applied at every step, so the tracking term pulls toward the time-mean
+    of the forecast window.
     """
     if N_e < 1:
         raise ValueError("N_e must be >= 1")
     n = constraints.n
-    if state.n != n or dynamics.n != n:
-        raise ValueError("state/dynamics/constraints dimensions disagree")
+    if state.n != n:
+        raise ValueError("state/constraints dimensions disagree")
     fc = _check_forecast(forecast, n, N_e)
     rho = constraints.slack_penalty_rho
     dev_floor = constraints.requested - constraints.max_deviation
-    lower = constraints.lower_bounds
     head_cost = float(np.sum((state.xi - fc[0]) ** 2))
     window = fc[1:N_e + 1]
-
-    if _is_memoryless_identity(dynamics):
-        mean_r = window.mean(axis=0)
-        # N_e identical tracking stages plus a once-counted slack penalty:
-        # scale the penalty weight down so weight * rho_eff = rho
-        a, used = hinge_quadratic_solve(
-            x0=mean_r, target=mean_r, soft_lower=lower, dev_floor=dev_floor,
-            weight=float(N_e), rho=rho / N_e,
-            capacity=constraints.capacity_b, max_iterations=_ALLOC_MAX_ITER)
-        objective = head_cost + float(np.sum((window - a) ** 2))
-        objective += rho * float(np.sum(_slack_for(a, constraints) ** 2))
-        return AllocationSolution(allocation=a,
-                                  slack_gamma=_slack_for(a, constraints),
-                                  objective_value=objective, iterations=used)
-
-    def objective_fn(a):
-        xi = state.xi
-        cost = head_cost
-        for j in range(N_e):
-            xi = dynamics.A @ xi + dynamics.B @ a
-            cost += float(np.sum((xi - fc[j + 1]) ** 2))
-        cost += rho * float(np.sum(np.maximum(lower - a, 0.0) ** 2))
-        cost += rho * float(np.sum(np.maximum(dev_floor - a, 0.0) ** 2))
-        return cost
-
-    def gradient_fn(a):
-        grad = np.zeros(n)
-        xi = state.xi
-        phi = np.zeros((n, n))      # d xi_j / d a under the constant input
-        for j in range(N_e):
-            xi = dynamics.A @ xi + dynamics.B @ a
-            phi = dynamics.A @ phi + dynamics.B
-            grad += phi.T @ (2.0 * (xi - fc[j + 1]))
-        grad -= 2.0 * rho * np.maximum(lower - a, 0.0)
-        grad -= 2.0 * rho * np.maximum(dev_floor - a, 0.0)
-        return grad
-
-    stack = []
-    phi = np.zeros((n, n))
-    for _ in range(N_e):
-        phi = dynamics.A @ phi + dynamics.B
-        stack.append(phi.copy())
-    G = np.vstack(stack)
-    lipschitz = 2.0 * float(np.linalg.eigvalsh(G.T @ G)[-1]) + 4.0 * rho
-
-    feasible = CappedSimplexSet(np.zeros(n), constraints.capacity_b)
-    problem = SmoothConvexProblem(objective=objective_fn, gradient=gradient_fn,
-                                  lipschitz_l=lipschitz, feasible_set=feasible)
-    result = pga_solve(problem, window.mean(axis=0),
-                       PGAConfig(step_alpha=1.0 / lipschitz,
-                                 max_iterations=_ALLOC_MAX_ITER))
-    return AllocationSolution(allocation=result.x,
-                              slack_gamma=_slack_for(result.x, constraints),
-                              objective_value=float(result.objective_trace[-1]),
-                              iterations=result.iterations)
+    mean_r = window.mean(axis=0)
+    # N_e identical tracking stages plus a once-counted slack penalty: the
+    # minimizer sees the penalty at rho / N_e relative to tracking the mean
+    a, passes = hinge_quadratic_solve(
+        mean_r, constraints.lower_bounds, dev_floor, rho / N_e,
+        constraints.capacity_b)
+    slack = _slack_for(a, constraints)
+    objective = head_cost + float(np.sum((window - a) ** 2))
+    objective += rho * float(np.sum(slack ** 2))
+    return AllocationSolution(allocation=a, slack_gamma=slack,
+                              objective_value=objective, iterations=passes)
 
 
 def estimate_event_horizon(history: EventHistory) -> int:

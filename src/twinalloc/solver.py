@@ -17,12 +17,6 @@ import numpy as np
 
 from .core import InfeasibleSetError
 
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency
-    HAVE_NUMBA = False
-
 # Pulls a certificate count sitting a few ulps above an integer back down
 # before ceil; real fractional parts are never this small.
 _CEIL_GUARD = 1.0 - 4e-12
@@ -241,16 +235,15 @@ def pga_solve(problem: SmoothConvexProblem, x0, config: PGAConfig) -> PGAResult:
 
 
 # ---------------------------------------------------------------------------
-# Specialized kernel for the network manager's allocation subproblem:
+# The network manager's allocation subproblem:
 #
-#   min_a  w * ||a - target||^2
-#          + w * rho * sum max(soft_lower - a, 0)^2
-#          + w * rho * sum max(dev_floor - a, 0)^2
+#   min_a  ||a - target||^2
+#          + rho * sum max(soft_lower - a, 0)^2
+#          + rho * sum max(dev_floor - a, 0)^2
 #   s.t.   a >= 0, sum(a) <= capacity
 #
-# The hinge penalties make the gradient Lipschitz constant 2w(1 + 2 rho);
-# with rho around 1e3 the solve needs tens of thousands of cheap iterations,
-# so the loop is compiled with numba (python fallback kept for testing).
+# A weight on the whole objective does not move the minimizer, so only rho,
+# the penalty relative to tracking, enters the solve.
 # ---------------------------------------------------------------------------
 
 def hinge_quadratic_objective(a, target, soft_lower, dev_floor,
@@ -263,106 +256,73 @@ def hinge_quadratic_objective(a, target, soft_lower, dev_floor,
                            + rho * np.sum(dev_gap ** 2)))
 
 
-def hinge_quadratic_gradient(a, target, soft_lower, dev_floor,
-                             weight: float, rho: float) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    g = 2.0 * weight * (a - target)
-    g -= 2.0 * weight * rho * np.maximum(soft_lower - a, 0.0)
-    g -= 2.0 * weight * rho * np.maximum(dev_floor - a, 0.0)
-    return g
-
-
-def hinge_quadratic_lipschitz(weight: float, rho: float) -> float:
-    # tracking curvature 2w plus 2w*rho from each of the two hinges
-    return 2.0 * weight * (1.0 + 2.0 * rho)
-
-
-def _hinge_descent_loop(x, target, soft_lower, dev_floor, weight, rho,
-                        capacity, alpha, max_iter, stall_tol):
-    # single-source loop: compiled by numba when available, plain python
-    # otherwise, so both paths execute identical arithmetic
-    n = x.shape[0]
-    two_w = 2.0 * weight
-    pen = 2.0 * weight * rho
-    y = np.empty(n)
-    used = 0
-    for it in range(max_iter):
-        for i in range(n):
-            g = two_w * (x[i] - target[i])
-            low_gap = soft_lower[i] - x[i]
-            if low_gap > 0.0:
-                g -= pen * low_gap
-            dev_gap = dev_floor[i] - x[i]
-            if dev_gap > 0.0:
-                g -= pen * dev_gap
-            y[i] = x[i] - alpha * g
-        # project y onto {v >= 0, sum(v) <= capacity}
-        s = 0.0
-        for i in range(n):
-            if y[i] > 0.0:
-                s += y[i]
-        theta = 0.0
-        if s > capacity:
-            u = np.sort(y)
-            css = 0.0
-            for j in range(n - 1, -1, -1):
-                css += u[j]
-                t = (css - capacity) / (n - j)
-                if u[j] > t:
-                    theta = t
-                else:
-                    break
-        dmax = 0.0
-        for i in range(n):
-            v = y[i] - theta
-            if v < 0.0:
-                v = 0.0
-            d = v - x[i]
-            if d < 0.0:
-                d = -d
-            if d > dmax:
-                dmax = d
-            x[i] = v
-        used = it + 1
-        if dmax < stall_tol:
-            break
-    return x, used
-
-
-if HAVE_NUMBA:
-    _hinge_descent_jit = njit(cache=True)(_hinge_descent_loop)
-else:  # pragma: no cover
-    _hinge_descent_jit = _hinge_descent_loop
-
-
-def hinge_quadratic_solve(x0, target, soft_lower, dev_floor, weight: float,
-                          rho: float, capacity: float,
-                          step_alpha: float | None = None,
-                          max_iterations: int = 200_000,
-                          stall_tolerance: float = 1e-10,
-                          use_jit: bool = True):
+def hinge_quadratic_solve(target, soft_lower, dev_floor, rho: float,
+                          capacity: float):
     """Minimize the hinge-penalized tracking objective over the capped simplex.
 
-    Returns (a, iterations_used). step_alpha defaults to 1/L and may not
-    exceed it.
+    The problem is separable, convex and piecewise quadratic with one
+    knapsack row (a continuous quadratic knapsack), so a breakpoint search
+    solves it exactly (Helgason, Kennington & Lall 1980; Kiwiel 2008). With
+    p1 <= p2 the two hinge floors of a coordinate and s >= 0 the budget
+    multiplier, the coordinate's minimizer is
+
+        a(s) = max(0, t - s, (t + rho p2 - s) / (1 + rho),
+                   (t + rho (p1 + p2) - s) / (1 + 2 rho)),
+
+    the inverse of its concave piecewise-linear stationarity map, clipped
+    at zero. sum a(s) is continuous, piecewise linear and non-increasing,
+    with breakpoints at t - p2, t - p1 + rho (p2 - p1) and
+    t + rho (max(p1, 0) + max(p2, 0)). If a(0) fits the budget it is the
+    minimizer; otherwise bisection over the sorted breakpoints finds the
+    linear piece on which sum a(s) = capacity, solved there in closed form.
+
+    Returns (a, passes): passes counts the O(n) evaluations of a(s), >= 1.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    target = np.broadcast_to(np.asarray(target, dtype=float), x0.shape)
-    soft_lower = np.broadcast_to(np.asarray(soft_lower, dtype=float), x0.shape)
-    dev_floor = np.broadcast_to(np.asarray(dev_floor, dtype=float), x0.shape)
-    lipschitz = hinge_quadratic_lipschitz(weight, rho)
-    if step_alpha is None:
-        step_alpha = 1.0 / lipschitz
-    elif step_alpha > _STEP_SLACK / lipschitz:
-        raise ValueError("step_alpha exceeds 1/L for the penalized objective")
-    x = project_capped_simplex(x0, np.zeros_like(x0), capacity)
-    loop = _hinge_descent_jit if (use_jit and HAVE_NUMBA) else _hinge_descent_loop
-    x, used = loop(x.copy(), np.ascontiguousarray(target),
-                   np.ascontiguousarray(soft_lower),
-                   np.ascontiguousarray(dev_floor),
-                   float(weight), float(rho), float(capacity),
-                   float(step_alpha), int(max_iterations),
-                   float(stall_tolerance))
-    if not np.all(np.isfinite(x)):
-        raise SolverError("non-finite iterate in allocation solve")
-    return x, int(used)
+    target = np.atleast_1d(np.asarray(target, dtype=float))
+    soft_lower = np.broadcast_to(np.asarray(soft_lower, dtype=float),
+                                 target.shape)
+    dev_floor = np.broadcast_to(np.asarray(dev_floor, dtype=float),
+                                target.shape)
+    rho = float(rho)
+    capacity = float(capacity)
+    if not rho >= 0:
+        raise ValueError("rho must be nonnegative")
+    if not capacity >= 0:
+        raise InfeasibleSetError("capacity must be nonnegative")
+    p1 = np.minimum(soft_lower, dev_floor)
+    p2 = np.maximum(soft_lower, dev_floor)
+    one_hinge = target + rho * p2
+    two_hinges = target + rho * (p1 + p2)
+
+    def allocation(s):
+        a = np.maximum(target - s, (one_hinge - s) / (1.0 + rho))
+        a = np.maximum(a, (two_hinges - s) / (1.0 + 2.0 * rho))
+        return np.maximum(a, 0.0)
+
+    a = allocation(0.0)
+    passes = 1
+    lo_sum = float(a.sum())
+    if lo_sum > capacity:
+        knots = np.concatenate([
+            target - p2, target - p1 + rho * (p2 - p1),
+            target + rho * (np.maximum(p1, 0.0) + np.maximum(p2, 0.0))])
+        knots = np.sort(knots[knots > 0.0])
+        # invariant: sum a(lo_s) > capacity >= sum a(knots[hi]); at the
+        # last knot every coordinate is clipped to zero
+        lo, hi = -1, knots.size - 1
+        lo_s, hi_sum = 0.0, 0.0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            total = float(allocation(knots[mid]).sum())
+            passes += 1
+            if total > capacity:
+                lo, lo_s, lo_sum = mid, float(knots[mid]), total
+            else:
+                hi, hi_sum = mid, total
+        hi_s = float(knots[hi])
+        s = lo_s + (lo_sum - capacity) * (hi_s - lo_s) / (lo_sum - hi_sum)
+        a = allocation(s)
+        passes += 1
+    if not np.all(np.isfinite(a)):
+        raise SolverError("non-finite allocation")
+    return a, passes

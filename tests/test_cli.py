@@ -148,8 +148,8 @@ def test_summary_and_manifest(cli_env):
 def test_compare_deterministic_across_workers(cli_env, tmp_path):
     _, scenario, out = cli_env
     redo = tmp_path / "redo"
-    assert main(["compare", "--scenario", str(scenario), "--out", str(redo),
-                 "--workers", "3"]) == 0
+    assert main(["compare", "--scenario", str(scenario),
+                 "--out", str(redo)]) == 0
     for name in [f"metrics_{tok}.csv" for tok in TOKENS] + [
             "comparison.csv", "comparison.svg", "summary.txt"]:
         assert (redo / name).read_bytes() == (out / name).read_bytes()
@@ -175,6 +175,13 @@ def test_missing_scenario_exits_io_without_outputs(tmp_path, capsys):
     '{"n_resources": "twenty"}',
     '{"frobnicate": 3}',
     '{nope',
+    '{"rho": NaN}',
+    '{"gap": NaN}',
+    '{"capacity_b": Infinity}',
+    '{"master_seed": 1e30}',
+    '{"master_seed": 18446744073709551616}',
+    '{"n_ticks": NaN}',
+    '{"n_resources": Infinity}',
 ])
 def test_invalid_scenario_exits_config(tmp_path, capsys, payload):
     scenario = tmp_path / "scenario.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twinalloc.core import (AllocationConstraints, DimensionMismatch,
-                            NetworkDynamics, NetworkState, ScenarioConfig,
+                            NetworkState, ScenarioConfig,
                             ScenarioValidationError, allocation_vector,
                             compute_residual, requirement_vector,
                             validate_scenario)
@@ -43,18 +43,6 @@ def test_constraints_validation():
     with pytest.raises(ValueError):
         AllocationConstraints(capacity_b=10.0, lower_bounds=[1],
                               requested=[5], max_deviation=-1.0)
-
-
-def test_dynamics_identity_gain():
-    dyn = NetworkDynamics.identity_gain(3)
-    assert not np.any(dyn.A)
-    assert np.array_equal(dyn.B, np.eye(3))
-    xi = dyn.step(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]))
-    assert np.array_equal(xi, [4.0, 5.0, 6.0])
-    with pytest.raises(ValueError):
-        NetworkDynamics(np.zeros((2, 3)), np.eye(2))
-    with pytest.raises(DimensionMismatch):
-        NetworkDynamics(np.zeros((2, 2)), np.eye(3))
 
 
 def test_network_state():
@@ -110,6 +98,10 @@ def test_default_scenario_is_valid_and_idempotent():
     (dict(epsilon_per_step=0.0), "epsilon_per_step"),
     (dict(rho=-5.0), "rho"),
     (dict(master_seed=-2), "master_seed"),
+    (dict(master_seed=2 ** 64), "master_seed"),
+    (dict(n_ticks=float("nan")), "n_ticks"),
+    (dict(rho=float("nan")), "rho"),
+    (dict(capacity_b=float("inf")), "capacity_b"),
 ])
 def test_scenario_invariant_diagnostics(kwargs, needle):
     with pytest.raises(ScenarioValidationError) as err:

@@ -188,17 +188,6 @@ def test_online_reallocates_every_tick(small_runs):
     assert online.reallocation_ticks == tuple(range(1, cfg.n_ticks))
 
 
-def test_workers_do_not_change_results(small_runs):
-    cfg, results = small_runs
-    threaded = compare_policies(cfg, seed=3, workers=4)
-    assert list(threaded) == list(PolicyKind)
-    for kind in PolicyKind:
-        assert np.array_equal(threaded[kind].allocation_series,
-                              results[kind].allocation_series)
-        assert np.array_equal(threaded[kind].regret_series,
-                              results[kind].regret_series)
-
-
 def test_failures_carry_the_tick(monkeypatch):
     def explode(*args, **kwargs):
         raise RuntimeError("boom")

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from tests.oracles import grid_capped_simplex, penalized_tracking_objective
-from twinalloc.core import (AllocationConstraints, NetworkDynamics,
-                            NetworkState)
+from twinalloc.core import AllocationConstraints, NetworkState
 from twinalloc.manager import (AllocationSolution, EventHistory, PolicyKind,
                                allocate_equal, allocate_event, allocate_online,
                                allocate_static, estimate_event_horizon,
@@ -22,9 +21,7 @@ def identity_setup(requested, capacity, lower=None, max_deviation=10.0,
     constraints = AllocationConstraints(
         capacity_b=capacity, lower_bounds=lower, requested=requested,
         max_deviation=max_deviation, slack_penalty_rho=rho)
-    n = constraints.n
-    return (NetworkState.zeros(n), NetworkDynamics.identity_gain(n),
-            constraints)
+    return NetworkState.zeros(constraints.n), constraints
 
 
 def persistence(requested, steps):
@@ -46,7 +43,7 @@ def test_allocate_equal():
 
 
 def test_allocate_static_feasible_requests_pass_through():
-    _, _, constraints = identity_setup([5, 7, 3], capacity=20.0)
+    _, constraints = identity_setup([5, 7, 3], capacity=20.0)
     sol = allocate_static([5.0, 7.0, 3.0], constraints)
     assert np.array_equal(sol.allocation, [5.0, 7.0, 3.0])
     assert sol.objective_value == 0.0
@@ -55,7 +52,7 @@ def test_allocate_static_feasible_requests_pass_through():
 
 
 def test_allocate_static_is_projection():
-    _, _, constraints = identity_setup([4, 4], capacity=6.0, lower=[1, 1])
+    _, constraints = identity_setup([4, 4], capacity=6.0, lower=[1, 1])
     sol = allocate_static([4.0, 4.0], constraints)
     assert np.allclose(sol.allocation, [3.0, 3.0])
     assert sol.objective_value == pytest.approx(2.0)
@@ -64,7 +61,7 @@ def test_allocate_static_is_projection():
     grid = grid_capped_simplex(2, 4.0, 0.05)
     for _ in range(10):
         r_bar = rng.uniform(0, 3, 2) + rng.uniform(0, 3, 2)
-        _, _, cons = identity_setup(np.ceil(r_bar) + 1, capacity=4.0,
+        _, cons = identity_setup(np.ceil(r_bar) + 1, capacity=4.0,
                                     lower=[1, 1])
         sol = allocate_static(r_bar, cons)
         assert np.array_equal(
@@ -75,9 +72,8 @@ def test_allocate_static_is_projection():
 
 
 def test_allocate_online_grants_feasible_requests_exactly():
-    state, dynamics, constraints = identity_setup([5, 7, 3], capacity=20.0)
-    sol = allocate_online(state, persistence([5, 7, 3], 1), dynamics,
-                          constraints)
+    state, constraints = identity_setup([5, 7, 3], capacity=20.0)
+    sol = allocate_online(state, persistence([5, 7, 3], 1), constraints)
     assert np.array_equal(sol.allocation, [5.0, 7.0, 3.0])
     assert not sol.slack_gamma.any()
     # head term: the state starts at zero, first forecast row is the request
@@ -86,9 +82,9 @@ def test_allocate_online_grants_feasible_requests_exactly():
 
 
 def test_allocate_online_binding_instance_matches_grid():
-    state, dynamics, constraints = identity_setup(
+    state, constraints = identity_setup(
         [4, 4], capacity=5.0, lower=[3, 3])
-    sol = allocate_online(state, persistence([4, 4], 1), dynamics, constraints)
+    sol = allocate_online(state, persistence([4, 4], 1), constraints)
     assert np.allclose(sol.allocation, [2.5, 2.5], atol=1e-6)
     assert sol.objective_value == pytest.approx(536.5, abs=1e-6)
     head = 32.0
@@ -105,45 +101,43 @@ def test_allocate_online_zero_penalty_is_projection():
     for _ in range(5):
         n = int(rng.integers(2, 5))
         requested = rng.integers(5, 30, n).astype(float)
-        state, dynamics, constraints = identity_setup(
+        state, constraints = identity_setup(
             requested, capacity=float(requested.sum() * 0.7), rho=0.0)
         fc = persistence(requested, 1)
-        sol = allocate_online(state, fc, dynamics, constraints)
+        sol = allocate_online(state, fc, constraints)
         expect = project_capped_simplex(requested, np.zeros(n),
                                         constraints.capacity_b)
         assert np.allclose(sol.allocation, expect, atol=1e-6)
 
 
 def test_allocate_online_input_validation():
-    state, dynamics, constraints = identity_setup([5, 5], capacity=20.0)
+    state, constraints = identity_setup([5, 5], capacity=20.0)
     good = persistence([5, 5], 1)
     with pytest.raises(ValueError):
-        allocate_online(state, good, dynamics, constraints, N=0)
+        allocate_online(state, good[:, :1], constraints)
     with pytest.raises(ValueError):
-        allocate_online(state, good[:, :1], dynamics, constraints)
+        allocate_online(state, good[:1], constraints)
     with pytest.raises(ValueError):
-        allocate_online(state, good[:1], dynamics, constraints)
+        allocate_online(state, good * np.nan, constraints)
     with pytest.raises(ValueError):
-        allocate_online(state, good * np.nan, dynamics, constraints)
-    with pytest.raises(ValueError):
-        allocate_online(NetworkState.zeros(3), good, dynamics, constraints)
+        allocate_online(NetworkState.zeros(3), good, constraints)
 
 
 def test_allocate_event_single_step_equals_online():
-    state, dynamics, constraints = identity_setup(
+    state, constraints = identity_setup(
         [9, 6], capacity=11.0, lower=[2, 2])
     fc = persistence([9, 6], 1)
-    ev = allocate_event(state, fc, dynamics, constraints, N_e=1)
-    on = allocate_online(state, fc, dynamics, constraints, N=1)
+    ev = allocate_event(state, fc, constraints, N_e=1)
+    on = allocate_online(state, fc, constraints)
     assert np.array_equal(ev.allocation, on.allocation)
     assert ev.objective_value == pytest.approx(on.objective_value, rel=1e-9)
 
 
 def test_allocate_event_tracks_window_mean():
-    state, dynamics, constraints = identity_setup(
+    state, constraints = identity_setup(
         [4, 8], capacity=20.0, lower=[1, 1])
     fc = np.array([[4.0, 8.0], [2.0, 4.0], [4.0, 8.0]])
-    sol = allocate_event(state, fc, dynamics, constraints, N_e=2)
+    sol = allocate_event(state, fc, constraints, N_e=2)
     assert np.array_equal(sol.allocation, [3.0, 6.0])
     # honest cost at the mean: the two tracking stages do not vanish
     expect = (16.0 + 64.0) + (1.0 + 4.0) + (1.0 + 4.0)
@@ -151,10 +145,10 @@ def test_allocate_event_tracks_window_mean():
 
 
 def test_allocate_event_binding_instance_matches_grid():
-    state, dynamics, constraints = identity_setup(
+    state, constraints = identity_setup(
         [6, 6], capacity=5.0, lower=[3, 3], max_deviation=2.0)
     fc = np.array([[6.0, 6.0], [4.0, 4.0], [6.0, 6.0]])
-    sol = allocate_event(state, fc, dynamics, constraints, N_e=2)
+    sol = allocate_event(state, fc, constraints, N_e=2)
     grid = grid_capped_simplex(2, 5.0, 0.01)
     track = (np.sum((grid - fc[1]) ** 2, axis=1)
              + np.sum((grid - fc[2]) ** 2, axis=1))
@@ -166,64 +160,19 @@ def test_allocate_event_binding_instance_matches_grid():
     assert sol.objective_value <= best + 1e-2
 
 
-def test_allocate_online_general_dynamics_matches_grid():
-    dynamics = NetworkDynamics([[0.3]], [[1.0]])
-    constraints = AllocationConstraints(
-        capacity_b=6.0, lower_bounds=[1.0], requested=[4.0],
-        max_deviation=2.0, slack_penalty_rho=10.0)
-    state = NetworkState([2.0])
-    fc = np.array([[2.0], [5.0], [3.0]])
-    sol = allocate_online(state, fc, dynamics, constraints, N=2)
-
-    axis = np.arange(0.0, 6.0 + 0.005, 0.01)
-    a0, a1 = np.meshgrid(axis, axis, indexing="ij")
-    xi1 = 0.3 * 2.0 + a0
-    xi2 = 0.3 * xi1 + a1
-    cost = (xi1 - 5.0) ** 2 + (xi2 - 3.0) ** 2
-    for var in (a0, a1):
-        cost = cost + 10.0 * (np.maximum(1.0 - var, 0.0) ** 2
-                              + np.maximum(2.0 - var, 0.0) ** 2)
-    head = (2.0 - 2.0) ** 2
-    best = head + float(cost.min())
-    idx = np.unravel_index(np.argmin(cost), cost.shape)
-    assert sol.objective_value <= best + 1e-2
-    assert sol.allocation[0] == pytest.approx(axis[idx[0]], abs=0.05)
-
-
-def test_allocate_event_general_dynamics_matches_grid():
-    dynamics = NetworkDynamics([[0.3]], [[1.0]])
-    constraints = AllocationConstraints(
-        capacity_b=6.0, lower_bounds=[1.0], requested=[4.0],
-        max_deviation=2.0, slack_penalty_rho=10.0)
-    state = NetworkState([2.0])
-    fc = np.array([[2.0], [5.0], [3.0]])
-    sol = allocate_event(state, fc, dynamics, constraints, N_e=2)
-
-    axis = np.arange(0.0, 6.0 + 0.005, 0.01)
-    xi1 = 0.3 * 2.0 + axis
-    xi2 = 0.3 * xi1 + axis
-    cost = ((xi1 - 5.0) ** 2 + (xi2 - 3.0) ** 2
-            + 10.0 * (np.maximum(1.0 - axis, 0.0) ** 2
-                      + np.maximum(2.0 - axis, 0.0) ** 2))
-    best = float(cost.min())
-    assert sol.objective_value <= best + 1e-2
-    assert sol.allocation[0] == pytest.approx(axis[int(np.argmin(cost))],
-                                              abs=0.05)
-
-
 def test_all_policies_respect_hard_constraints():
     rng = np.random.default_rng(61)
     for _ in range(6):
         n = int(rng.integers(2, 7))
         requested = rng.integers(1, 41, n).astype(float)
         capacity = float(max(requested.sum() * 0.6, 1.0))
-        state, dynamics, constraints = identity_setup(requested, capacity)
+        state, constraints = identity_setup(requested, capacity)
         fc = persistence(requested, 3)
         allocations = [
             allocate_equal(n, capacity),
             allocate_static(requested, constraints).allocation,
-            allocate_online(state, fc[:2], dynamics, constraints).allocation,
-            allocate_event(state, fc, dynamics, constraints, N_e=3).allocation,
+            allocate_online(state, fc[:2], constraints).allocation,
+            allocate_event(state, fc, constraints, N_e=3).allocation,
         ]
         for a in allocations:
             assert np.all(a >= -1e-12)

@@ -6,12 +6,10 @@ import pytest
 from tests.oracles import (box_qp_oracle, grid_capped_simplex,
                            penalized_tracking_objective, sample_capped_simplex)
 from twinalloc.core import InfeasibleSetError
-from twinalloc.solver import (HAVE_NUMBA, BoxSet, CappedSimplexSet, PGAConfig,
-                              SmoothConvexProblem, hinge_quadratic_gradient,
-                              hinge_quadratic_lipschitz,
-                              hinge_quadratic_objective, hinge_quadratic_solve,
-                              iterations_for_delta, pga_solve, project_box,
-                              project_capped_simplex)
+from twinalloc.solver import (BoxSet, CappedSimplexSet, PGAConfig,
+                              SmoothConvexProblem, hinge_quadratic_objective,
+                              hinge_quadratic_solve, iterations_for_delta,
+                              pga_solve, project_box, project_capped_simplex)
 
 
 def quadratic_problem(Q, c, lower, upper):
@@ -238,32 +236,7 @@ def test_iterations_for_delta_inverts_exactly():
         assert iterations_for_delta(diameter, alpha, delta) == k
 
 
-# ------------------------------------------------------------- hinge kernel
-
-def test_hinge_gradient_matches_finite_differences():
-    rng = np.random.default_rng(41)
-    h = 1e-6
-    for _ in range(30):
-        n = int(rng.integers(1, 6))
-        target = rng.uniform(0, 20, n)
-        soft_lower = rng.uniform(0, 15, n)
-        dev_floor = rng.uniform(-5, 15, n)
-        a = rng.uniform(-2, 22, n)
-        # keep probe points away from the hinge kinks
-        for floor in (soft_lower, dev_floor):
-            near = np.abs(a - floor) < 1e-3
-            a[near] = floor[near] + 2e-3
-        grad = hinge_quadratic_gradient(a, target, soft_lower, dev_floor,
-                                        1.7, 50.0)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            num = (hinge_quadratic_objective(a + e, target, soft_lower,
-                                             dev_floor, 1.7, 50.0)
-                   - hinge_quadratic_objective(a - e, target, soft_lower,
-                                               dev_floor, 1.7, 50.0)) / (2 * h)
-            assert abs(grad[i] - num) <= 1e-4 * max(1.0, abs(num))
-
+# ------------------------------------------------------- allocation solve
 
 def test_hinge_objective_matches_reference():
     rng = np.random.default_rng(43)
@@ -281,15 +254,10 @@ def test_hinge_objective_matches_reference():
         assert ours == pytest.approx(ref, rel=1e-12)
 
 
-def test_hinge_lipschitz_constant():
-    assert hinge_quadratic_lipschitz(1.0, 1000.0) == pytest.approx(4002.0)
-    assert hinge_quadratic_lipschitz(3.0, 0.0) == pytest.approx(6.0)
-
-
 def test_hinge_solve_returns_interior_target_exactly():
     target = np.array([1.0, 2.0])
-    a, used = hinge_quadratic_solve(target, target, [0.5, 1.0], [-5.0, -5.0],
-                                    1.0, 1e3, 10.0)
+    a, used = hinge_quadratic_solve(target, [0.5, 1.0], [-5.0, -5.0], 1e3,
+                                    10.0)
     assert np.array_equal(a, target)
     assert used == 1
 
@@ -298,8 +266,7 @@ def test_hinge_solve_matches_grid_on_binding_instance():
     target = np.array([4.0, 4.0])
     soft_lower = np.array([3.0, 3.0])
     dev_floor = np.array([1.0, 1.0])
-    a, _ = hinge_quadratic_solve(target, target, soft_lower, dev_floor,
-                                 1.0, 1e3, 5.0)
+    a, _ = hinge_quadratic_solve(target, soft_lower, dev_floor, 1e3, 5.0)
     assert np.allclose(a, [2.5, 2.5], atol=1e-6)
     obj = hinge_quadratic_objective(a, target, soft_lower, dev_floor, 1.0, 1e3)
     grid = grid_capped_simplex(2, 5.0, 0.01)
@@ -308,27 +275,54 @@ def test_hinge_solve_matches_grid_on_binding_instance():
     assert obj <= best + 1e-2
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="compiled path unavailable")
-def test_hinge_solve_jit_matches_python_loop():
-    rng = np.random.default_rng(47)
-    for _ in range(5):
-        n = int(rng.integers(2, 7))
-        target = rng.uniform(2, 30, n)
-        soft_lower = np.maximum(target - 10.0, 1.0)
-        dev_floor = target - 10.0
-        capacity = float(target.sum() * rng.uniform(0.5, 0.9))
-        x0 = rng.uniform(0, 10, n)
-        kwargs = dict(weight=1.0, rho=1e3, capacity=capacity,
-                      max_iterations=8_000)
-        a_jit, it_jit = hinge_quadratic_solve(
-            x0, target, soft_lower, dev_floor, use_jit=True, **kwargs)
-        a_py, it_py = hinge_quadratic_solve(
-            x0, target, soft_lower, dev_floor, use_jit=False, **kwargs)
-        assert it_jit == it_py
-        assert float(np.max(np.abs(a_jit - a_py))) <= 1e-12
-
-
-def test_hinge_solve_rejects_oversized_step():
+def test_hinge_solve_rejects_bad_input():
     with pytest.raises(ValueError):
-        hinge_quadratic_solve([1.0], [1.0], [0.0], [0.0], 1.0, 1e3, 5.0,
-                              step_alpha=1.0)
+        hinge_quadratic_solve([1.0], [0.0], [0.0], -1.0, 5.0)
+    with pytest.raises(InfeasibleSetError):
+        hinge_quadratic_solve([1.0], [0.0], [0.0], 1e3, -1.0)
+
+
+def _check_kkt(a, target, soft_lower, dev_floor, rho, capacity):
+    """First-order optimality of a for the hinge-penalized knapsack.
+
+    Half the objective's gradient is h = (a - t) - rho (l - a)+ - rho (f - a)+;
+    a minimizer has a multiplier s >= 0 with h + s = 0 where a > 0,
+    h + s >= 0 where a = 0, and s (capacity - sum a) = 0.
+    """
+    scale = 1.0 + float(np.max(np.abs(np.concatenate(
+        [target, soft_lower, dev_floor]))))
+    tol = 1e-10 * (1.0 + 2.0 * rho) * scale
+    assert np.all(a >= 0.0)
+    assert a.sum() <= capacity + 1e-12 * scale * a.size
+    h = ((a - target) - rho * np.maximum(soft_lower - a, 0.0)
+         - rho * np.maximum(dev_floor - a, 0.0))
+    free = a > 0.0
+    s = float(np.mean(-h[free])) if free.any() else max(0.0, float(np.max(-h)))
+    assert s >= -tol
+    assert np.all(np.abs(h[free] + s) <= tol)
+    assert np.all(h[~free] + s >= -tol)
+    assert abs(s * (capacity - a.sum())) <= tol * (1.0 + capacity)
+
+
+def test_hinge_solve_satisfies_kkt():
+    rng = np.random.default_rng(71)
+    for trial in range(600):
+        n = int(rng.integers(1, 51))
+        rho = (0.0, 1.0, 1e3)[trial % 3]
+        if trial % 2:
+            rho /= int(rng.integers(2, 26))      # event solve: rho / N_e
+        target = rng.integers(1, 46, n).astype(float)
+        if trial % 5 == 0:
+            target += rng.uniform(-0.5, 0.5, n)
+        soft_lower = np.maximum(target - rng.uniform(0.0, 12.0, n), 1.0)
+        dev_floor = target - rng.uniform(0.0, 50.0, n)   # often negative
+        ties = rng.random(n) < 0.3
+        dev_floor[ties] = soft_lower[ties]
+        unconstrained = np.maximum(target, 0.0).sum()
+        capacity = float((unconstrained * rng.uniform(0.05, 0.99),
+                          unconstrained * rng.uniform(1.0, 2.0),
+                          rng.uniform(0.0, 1e-9), 0.0)[trial % 4])
+        a, passes = hinge_quadratic_solve(target, soft_lower, dev_floor, rho,
+                                          capacity)
+        assert passes >= 1
+        _check_kkt(a, target, soft_lower, dev_floor, rho, capacity)

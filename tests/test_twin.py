@@ -85,13 +85,16 @@ def test_single_step_reaches_setpoint():
 
 
 def test_full_grant_meets_baseline_exactly():
-    twin = make_twin()
-    for tick in range(12):
-        twin.assign_task(tick, int(5 + 3 * (tick % 4)))
-        k_prime, _ = compute_requirement(twin)
-        out = step_control(twin, k_prime)
-        assert out.sample.achieved == out.sample.requested_baseline
-        assert out.sample.regret_increment == 0.0
+    # a grant a rounding error below k' is the full grant
+    for shortfall in (0.0, 1e-12):
+        twin = make_twin()
+        for tick in range(12):
+            twin.assign_task(tick, int(5 + 3 * (tick % 4)))
+            k_prime, _ = compute_requirement(twin)
+            out = step_control(twin, k_prime - shortfall)
+            assert out.iterations_granted == k_prime
+            assert out.sample.achieved == out.sample.requested_baseline
+            assert out.sample.regret_increment == 0.0
 
 
 def test_over_grant_beats_baseline():
