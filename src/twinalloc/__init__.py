@@ -14,8 +14,8 @@ from .core import (DEFAULT_MAX_DEVIATION, DEFAULT_SLACK_PENALTY,
                    validate_scenario)
 from .engine import (SimResult, SimulationError, compare_policies,
                      draw_initial_requirements, evolve_requirements,
-                     load_scenario, run_scenario, save_scenario,
-                     scenario_from_dict, scenario_to_dict)
+                     load_scenario, requirement_walk, run_scenario,
+                     save_scenario, scenario_from_dict, scenario_to_dict)
 from .manager import (AllocationSolution, EventHistory, PolicyKind,
                       allocate_equal, allocate_event, allocate_online,
                       allocate_static, estimate_event_horizon, should_trigger)
@@ -45,8 +45,8 @@ __all__ = [
     "draw_initial_requirements", "estimate_event_horizon",
     "evolve_requirements", "forecast_requirements", "iterations_for_delta",
     "load_scenario", "pga_solve", "project_box", "project_capped_simplex",
-    "render_comparison_svg", "render_metrics_csv", "run_scenario",
-    "save_scenario", "scenario_from_dict", "scenario_to_dict",
+    "render_comparison_svg", "render_metrics_csv", "requirement_walk",
+    "run_scenario", "save_scenario", "scenario_from_dict", "scenario_to_dict",
     "should_trigger", "step_control", "summarize", "update_regret",
     "validate_scenario", "write_manifest", "write_metrics_csv",
 ]

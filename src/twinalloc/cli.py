@@ -14,8 +14,8 @@ import sys
 from .core import ScenarioValidationError
 from .engine import SimulationError, compare_policies, load_scenario, run_scenario
 from .manager import PolicyKind
-from .report import (build_manifest, render_comparison_svg, summarize,
-                     write_manifest, write_metrics_csv)
+from .report import (build_manifest, metrics_rows, render_comparison_svg,
+                     summarize, write_manifest, write_metrics_csv)
 from .solver import SolverError
 
 EXIT_OK = 0
@@ -97,13 +97,15 @@ def cmd_compare(args, argv) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     outputs = {}
+    rows = {kind: metrics_rows(results[kind]) for kind in PolicyKind}
     for kind in PolicyKind:
         path = os.path.join(args.out, f"metrics_{kind.value}.csv")
-        write_metrics_csv(path, results[kind])
+        write_metrics_csv(path, rows[kind])
         outputs[f"metrics_{kind.value}_csv"] = path
 
     combined_path = os.path.join(args.out, "comparison.csv")
-    write_metrics_csv(combined_path, [results[k] for k in PolicyKind])
+    write_metrics_csv(combined_path,
+                      [row for kind in PolicyKind for row in rows[kind]])
     outputs["comparison_csv"] = combined_path
 
     svg_path = os.path.join(args.out, "comparison.svg")

@@ -1,8 +1,10 @@
 """Deterministic tick-loop orchestration of twins and the network manager.
 
-Per tick: evolve the plant-floor requirements, let every twin report its
-iteration requirement and forecast, run the active allocation policy, step
-every twin's controller with its grant, then record metrics. All randomness
+The plant-floor requirement walk is drawn for the whole run up front. Per
+tick: every twin certifies its iteration requirement once and reports it,
+the active allocation policy runs on those reports (persistence forecasts
+repeat the report vector), every twin's controller steps with its grant,
+then metrics are recorded. All randomness
 comes from named substreams of one master seed, so requirement trajectories
 are identical across policies and independent of execution order.
 """
@@ -24,8 +26,12 @@ from .core import (_FLOAT_FIELDS, _INT_FIELDS, _OPTIONAL_FLOAT_FIELDS,
 from .manager import (EventHistory, PolicyKind, allocate_equal,
                       allocate_event, allocate_online, allocate_static,
                       estimate_event_horizon, should_trigger)
-from .twin import (DigitalTwin, compute_requirement, forecast_requirements,
-                   step_control, update_regret)
+from .twin import (DigitalTwin, compute_requirement, step_control,
+                   update_regret)
+# Not called here. Kept bound in this module, like the one-tick scalar walk
+# evolve_requirements, because the benchmark's tracer (perfbench/tracer.py)
+# wraps both names here and its tests require every wrapped name to exist.
+from .twin import forecast_requirements  # noqa: F401
 
 # substream domains under the master seed
 _DOMAIN_RESOURCE_WALK = 0
@@ -60,7 +66,7 @@ def evolve_requirements(current, tick: int, config: ScenarioConfig,
     Stationary during the prefix (no draws consumed, so trajectories agree
     across any code path that skips those ticks); afterwards each resource
     adds an independent uniform integer step in [-d, d] and clamps to the
-    requirement range.
+    requirement range. requirement_walk reproduces it with block draws.
     """
     if tick < 0:
         raise ValueError("tick must be nonnegative")
@@ -72,6 +78,28 @@ def evolve_requirements(current, tick: int, config: ScenarioConfig,
     steps = np.array([int(rng.integers(-d, d, endpoint=True))
                       for rng in rng_streams])
     return np.clip(current + steps, lo, hi)
+
+
+def requirement_walk(config: ScenarioConfig, seed: int) -> np.ndarray:
+    """(n_ticks, n) int64 requirement trajectory for the whole run.
+
+    Row 0 is the initial draw; each later row is one evolve_requirements
+    tick. Every resource's steps come from one block draw on its own walk
+    substream, which yields the same values as one scalar draw per tick.
+    """
+    n, n_ticks = config.n_resources, config.n_ticks
+    d = config.requirement_step_bound
+    lo, hi = config.requirement_range
+    first = min(max(config.stationary_prefix, 1), n_ticks)  # first step tick
+    steps = np.zeros((n_ticks, n), dtype=np.int64)
+    for i in range(n):
+        steps[first:, i] = _stream(seed, _DOMAIN_RESOURCE_WALK, i).integers(
+            -d, d, endpoint=True, size=n_ticks - first)
+    walk = np.empty((n_ticks, n), dtype=np.int64)
+    walk[0] = draw_initial_requirements(config, seed)
+    for t in range(1, n_ticks):
+        walk[t] = np.clip(walk[t - 1] + steps[t], lo, hi)
+    return walk
 
 
 @dataclass(frozen=True)
@@ -93,11 +121,6 @@ class SimResult:
         return self.residual_inf_series.size
 
 
-def _stack_forecasts(twins, horizon: int) -> np.ndarray:
-    return np.column_stack([forecast_requirements(tw, horizon)
-                            for tw in twins])
-
-
 def run_scenario(config: ScenarioConfig, policy: PolicyKind,
                  seed: int) -> SimResult:
     """Simulate one policy for the whole scenario.
@@ -112,45 +135,43 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
     n = config.n_resources
     n_ticks = config.n_ticks
 
-    resource_rngs = [_stream(seed, _DOMAIN_RESOURCE_WALK, i) for i in range(n)]
     twins = [DigitalTwin(i, _stream(seed, _DOMAIN_TWIN_TARGETS, i),
                          requirement_gap=config.gap,
                          epsilon_per_step=config.epsilon_per_step)
              for i in range(n)]
-    requirements = draw_initial_requirements(config, seed)
+    requirement_series = requirement_walk(config, seed)
     capacity = (float(config.capacity_b) if config.capacity_b is not None
-                else float(requirements.sum()))
-    xi = NetworkState.zeros(n)
+                else float(requirement_series[0].sum()))
 
     residual_series = np.empty(n_ticks)
     regret_series = np.empty((n_ticks, n))
-    requirement_series = np.empty((n_ticks, n), dtype=np.int64)
     allocation_series = np.empty((n_ticks, n))
     realloc_ticks: list[int] = []
 
     trackers = None
     history = EventHistory()
     held_alloc = None         # current fixed allocation (equal/static/event)
+    alloc = None              # last tick's allocation: the network state
     tau_last = 0              # tick of the last reallocation event
+
+    # built only where a policy solves, from this tick's reports
+    def constraints():
+        return AllocationConstraints(
+            capacity_b=capacity, lower_bounds=k_lower, requested=k_prime,
+            max_deviation=DEFAULT_MAX_DEVIATION, slack_penalty_rho=config.rho)
+
+    def state():
+        return NetworkState.zeros(n) if alloc is None else NetworkState(alloc)
 
     for t in range(n_ticks):
         try:
-            if t > 0:
-                requirements = evolve_requirements(
-                    requirements, t, config, resource_rngs)
-            requirement_series[t] = requirements
-
-            for twin, req in zip(twins, requirements):
-                twin.assign_task(t, int(req))
+            for twin, req in zip(twins, requirement_series[t].tolist()):
+                twin.assign_task(t, req)
             reports = [compute_requirement(tw) for tw in twins]
             k_prime = np.array([kp for kp, _ in reports], dtype=float)
             k_lower = np.array([kl for _, kl in reports], dtype=float)
             if trackers is None:
                 trackers = [tw.make_tracker(0) for tw in twins]
-            constraints = AllocationConstraints(
-                capacity_b=capacity, lower_bounds=k_lower,
-                requested=k_prime, max_deviation=DEFAULT_MAX_DEVIATION,
-                slack_penalty_rho=config.rho)
 
             if policy is PolicyKind.EQUAL:
                 if held_alloc is None:
@@ -158,17 +179,19 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
                 alloc = held_alloc
             elif policy is PolicyKind.STATIC:
                 if held_alloc is None:
-                    held_alloc = allocate_static(k_prime, constraints).allocation
+                    held_alloc = allocate_static(k_prime,
+                                                 constraints()).allocation
                 alloc = held_alloc
             elif policy is PolicyKind.EVENT_TRIGGERED:
                 if held_alloc is None:
-                    held_alloc = allocate_static(k_prime, constraints).allocation
+                    held_alloc = allocate_static(k_prime,
+                                                 constraints()).allocation
                 elif should_trigger(trackers, t - tau_last,
                                     history.max_reallocation_period):
                     horizon = estimate_event_horizon(history)
-                    forecast = _stack_forecasts(twins, horizon)
+                    forecast = np.tile(k_prime, (horizon + 1, 1))
                     held_alloc = allocate_event(
-                        xi, forecast, constraints, horizon).allocation
+                        state(), forecast, constraints(), horizon).allocation
                     history.record(t)
                     realloc_ticks.append(t)
                     tau_last = t
@@ -176,19 +199,18 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
                         tracker.reset(t)
                 alloc = held_alloc
             else:
-                forecast = _stack_forecasts(twins, 1)
-                alloc = allocate_online(xi, forecast, constraints).allocation
+                forecast = np.tile(k_prime, (2, 1))
+                alloc = allocate_online(state(), forecast,
+                                        constraints()).allocation
                 if t >= 1:
                     realloc_ticks.append(t)
 
-            for i, twin in enumerate(twins):
-                out = step_control(twin, float(alloc[i]))
-                update_regret(trackers[i], out.sample)
+            for twin, tracker, grant in zip(twins, trackers, alloc.tolist()):
+                update_regret(tracker, step_control(twin, grant).sample)
 
             residual_series[t] = compute_residual(k_prime, alloc)[1]
             regret_series[t] = [tr.cumulative_regret_R for tr in trackers]
             allocation_series[t] = alloc
-            xi = NetworkState(alloc)
         except SimulationError:
             raise
         except Exception as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 
 import numpy as np
@@ -37,30 +38,28 @@ _POLICY_LABELS = {
 
 def metrics_rows(result: SimResult) -> list[tuple]:
     """Per-tick metric rows for one run, in CSV column order."""
-    rows = []
-    realloc = 0
-    realloc_set = set(result.reallocation_ticks)
-    for t in range(result.n_ticks):
-        if t in realloc_set:
-            realloc += 1
-        regrets = result.regret_series[t]
-        rows.append((t, result.policy.value,
-                     float(result.residual_inf_series[t]),
-                     float(np.mean(regrets)),
-                     float(np.max(np.abs(regrets))),
-                     realloc))
-    return rows
+    regret = result.regret_series
+    realloc = np.zeros(result.n_ticks, dtype=np.int64)
+    realloc[list(result.reallocation_ticks)] = 1
+    return list(zip(range(result.n_ticks),
+                    itertools.repeat(result.policy.value),
+                    result.residual_inf_series.tolist(),
+                    regret.mean(axis=1).tolist(),
+                    np.abs(regret).max(axis=1).tolist(),
+                    np.cumsum(realloc).tolist()))
 
 
 def render_metrics_csv(results) -> str:
-    """CSV text for one result or an ordered sequence of results."""
+    """CSV text for one result, an ordered sequence of results, or a list
+    of rows already built by metrics_rows."""
     if isinstance(results, SimResult):
         results = [results]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for result in results:
-        writer.writerows(metrics_rows(result))
+    writer.writerows(itertools.chain.from_iterable(
+        metrics_rows(item) if isinstance(item, SimResult) else (item,)
+        for item in results))
     return buf.getvalue()
 
 

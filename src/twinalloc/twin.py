@@ -14,8 +14,7 @@ from math import ceil, floor, isfinite
 
 import numpy as np
 
-from .solver import (BoxSet, PGAConfig, SmoothConvexProblem,
-                     iterations_for_delta)
+from .solver import iterations_for_delta
 
 # Default per-step regret budget as a fraction of the twin's initial solve
 # tolerance, so the trigger threshold scales with each twin's own stakes.
@@ -60,7 +59,6 @@ class RegretTracker:
 
 @dataclass(frozen=True)
 class ControlOutput:
-    action_u: np.ndarray
     iterations_granted: int
     sample: PerformanceSample
 
@@ -70,9 +68,9 @@ class DigitalTwin:
 
     The exogenous plant-floor load arrives as a per-tick iteration
     requirement; assign_task converts it into the equivalent solve tolerance
-    so that the certificate arithmetic reproduces exactly that count. The
-    twin's action state persists across ticks: each tick's solve starts from
-    the previously applied action.
+    and certifies it once, so that the certificate arithmetic reproduces
+    exactly that count. The twin's action state persists across ticks: each
+    tick's solve starts from the previously applied action.
     """
 
     def __init__(self, resource_id: int, rng: np.random.Generator,
@@ -94,55 +92,38 @@ class DigitalTwin:
         self.requirement_gap = float(requirement_gap)
         self.step_alpha = float(step_alpha)
         self.curvature = float(curvature)
-        self.feasible_set = BoxSet(np.array([box_low]), np.array([box_high]))
-        self.performance_history: list[PerformanceSample] = []
+        self.box_low = float(box_low)
+        self.box_high = float(box_high)
+        # Euclidean diameter of the 1-d box [box_low, box_high]
+        self.diameter = self.box_high - self.box_low
         self._explicit_epsilon = epsilon_per_step
         self._action = 0.5 * (box_low + box_high)
         self._target: float | None = None
-        self._tolerance_delta: float | None = None
+        self._requirement: tuple[int, int] | None = None
         self._initial_delta: float | None = None
         self._tick = -1
 
     # -- per-tick task assignment -----------------------------------------
 
     def assign_task(self, tick: int, required_iterations: int) -> None:
-        """Start a tick: draw a fresh setpoint and set the solve tolerance.
+        """Start a tick: draw a fresh setpoint and certify the requirement.
 
         The tolerance is chosen so iterations_for_delta returns exactly
         required_iterations, i.e. the twin asks the network for the load the
-        plant floor imposed on it.
+        plant floor imposed on it. The certified pair (k_prime, k_lower) is
+        kept for compute_requirement and step_control.
         """
         if required_iterations < 1:
             raise ValueError("required_iterations must be >= 1")
-        lo = float(self.feasible_set.lower[0])
-        hi = float(self.feasible_set.upper[0])
         self._tick = tick
-        self._target = float(self.rng.uniform(lo, hi))
-        diam = self.feasible_set.diameter()
-        self._tolerance_delta = diam * diam / (
-            2.0 * self.step_alpha * required_iterations)
+        self._target = float(self.rng.uniform(self.box_low, self.box_high))
+        diam = self.diameter
+        delta = diam * diam / (2.0 * self.step_alpha * required_iterations)
         if self._initial_delta is None:
-            self._initial_delta = self._tolerance_delta
-
-    @property
-    def control_problem(self) -> SmoothConvexProblem:
-        if self._target is None:
-            raise RuntimeError("no task assigned yet")
-        c = self._target
-        kappa = self.curvature
-        return SmoothConvexProblem(
-            objective=lambda x: float(0.5 * kappa * np.sum(
-                (np.asarray(x, dtype=float) - c) ** 2)),
-            gradient=lambda x: kappa * (np.asarray(x, dtype=float) - c),
-            lipschitz_l=kappa,
-            feasible_set=self.feasible_set)
-
-    @property
-    def pga_config(self) -> PGAConfig:
-        if self._tolerance_delta is None:
-            raise RuntimeError("no task assigned yet")
-        return PGAConfig(step_alpha=self.step_alpha,
-                         tolerance_delta=self._tolerance_delta)
+            self._initial_delta = delta
+        k_prime = iterations_for_delta(diam, self.step_alpha, delta)
+        self._requirement = (
+            k_prime, max(int(ceil(k_prime - self.requirement_gap)), 1))
 
     @property
     def epsilon_per_step(self) -> float:
@@ -164,12 +145,9 @@ class DigitalTwin:
 
 def compute_requirement(twin: DigitalTwin) -> tuple[int, int]:
     """Iteration requirement (k_prime) and acceptable floor (k_lower)."""
-    if twin._tolerance_delta is None:
+    if twin._requirement is None:
         raise RuntimeError("no task assigned yet")
-    k_prime = iterations_for_delta(twin.feasible_set.diameter(),
-                                   twin.step_alpha, twin._tolerance_delta)
-    k_lower = max(int(ceil(k_prime - twin.requirement_gap)), 1)
-    return k_prime, k_lower
+    return twin._requirement
 
 
 def step_control(twin: DigitalTwin, granted: float) -> ControlOutput:
@@ -183,13 +161,13 @@ def step_control(twin: DigitalTwin, granted: float) -> ControlOutput:
         raise ValueError("granted must be finite")
     if granted < 0:
         raise ValueError("granted must be nonnegative")
-    if twin._target is None:
+    if twin._requirement is None:
         raise RuntimeError("no task assigned yet")
     g = max(int(floor(granted + _FLOOR_GUARD)), 1)
-    k_prime, _ = compute_requirement(twin)
+    k_prime = twin._requirement[0]
 
-    lo = float(twin.feasible_set.lower[0])
-    hi = float(twin.feasible_set.upper[0])
+    lo = twin.box_low
+    hi = twin.box_high
     kappa = twin.curvature
     alpha = twin.step_alpha
     c = twin._target
@@ -216,9 +194,7 @@ def step_control(twin: DigitalTwin, granted: float) -> ControlOutput:
     twin._action = x_granted
     sample = PerformanceSample(tick=twin._tick, achieved=achieved,
                                requested_baseline=baseline)
-    twin.performance_history.append(sample)
-    return ControlOutput(action_u=np.array([x_granted]),
-                         iterations_granted=g, sample=sample)
+    return ControlOutput(iterations_granted=g, sample=sample)
 
 
 def update_regret(tracker: RegretTracker,

@@ -6,8 +6,9 @@ import pytest
 from twinalloc.core import ScenarioConfig, ScenarioValidationError, compute_residual
 from twinalloc.engine import (SimulationError, compare_policies,
                               draw_initial_requirements, evolve_requirements,
-                              load_scenario, run_scenario, save_scenario,
-                              scenario_from_dict, scenario_to_dict)
+                              load_scenario, requirement_walk, run_scenario,
+                              save_scenario, scenario_from_dict,
+                              scenario_to_dict)
 from twinalloc.manager import PolicyKind
 
 
@@ -19,6 +20,21 @@ class StepAlwaysHigh:
 class StepAlwaysLow:
     def integers(self, lo, hi, endpoint=True):
         return lo
+
+
+class RecordingStream:
+    """One resource's walk substream (seed, domain 0, index), recording
+    every step it draws."""
+
+    def __init__(self, seed, index):
+        self.rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((seed, 0, index))))
+        self.draws = []
+
+    def integers(self, lo, hi, endpoint=True):
+        step = int(self.rng.integers(lo, hi, endpoint=endpoint))
+        self.draws.append(step)
+        return step
 
 
 class StepForbidden:
@@ -79,6 +95,35 @@ def test_walk_step_distribution():
     # uniform step variance d(d+1)/3 = 2/3
     bound = 3.0 * np.sqrt((2.0 / 3.0) / inc.size)
     assert abs(inc.mean()) <= bound
+
+
+@pytest.mark.parametrize("prefix", [0, 4])
+@pytest.mark.parametrize("d", [0, 1, 2, 5])
+def test_block_walk_matches_scalar_draws(d, prefix):
+    cfg = ScenarioConfig(n_resources=7, n_ticks=120, stationary_prefix=prefix,
+                         requirement_step_bound=d, requirement_range=(1, 8),
+                         initial_requirement_range=(2, 7))
+    seed = 11
+    walk = requirement_walk(cfg, seed)
+    assert walk.dtype == np.int64 and walk.shape == (120, 7)
+
+    streams = [RecordingStream(seed, i) for i in range(7)]
+    cur = draw_initial_requirements(cfg, seed)
+    scalar, raw = [cur], []
+    for t in range(1, cfg.n_ticks):
+        before = sum(len(s.draws) for s in streams)
+        nxt = evolve_requirements(cur, t, cfg, streams)
+        if sum(len(s.draws) for s in streams) > before:
+            raw.append(cur + np.array([s.draws[-1] for s in streams]))
+        cur = nxt
+        scalar.append(cur)
+    np.testing.assert_array_equal(walk, np.array(scalar))
+
+    assert (walk[:prefix] == walk[0]).all()
+    assert len(raw) == cfg.n_ticks - max(prefix, 1)
+    if d:
+        raw = np.array(raw)
+        assert (raw < 1).any() and (raw > 8).any()   # both clamps fire
 
 
 # ---------------------------------------------------------------- hand traces

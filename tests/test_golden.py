@@ -1,11 +1,20 @@
-"""Golden-output check: all four policies on the default scenario, seeds 0-2.
+"""Golden-output checks.
 
-The fixture holds, per seed and policy, the per-tick residual inf norm, the
-mean and maximum absolute cumulative regret over the twins, and the
-reallocation ticks. Rewrite it with ``python -m tests.test_golden`` only
-when a change to the policies' outputs is intended.
+``golden_default.json`` holds, per seed (0-2) and policy on the default
+scenario, the per-tick residual inf norm, the mean and maximum absolute
+cumulative regret over the twins, and the reallocation ticks.
+
+``golden_cases.json`` holds two off-default scenarios (an explicit regret
+budget over a long run; a wide short run with a short prefix). Per policy it
+keeps the same per-tick series, compared exactly for every policy, and a
+SHA-256 digest of every full (n_ticks, n) series, so a one-ulp drift in any
+twin's regret or allocation fails.
+
+Rewrite the fixtures with ``python -m tests.test_golden`` only when a change
+to the policies' outputs is intended.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -17,7 +26,14 @@ from twinalloc.engine import compare_policies
 from twinalloc.manager import PolicyKind
 
 FIXTURE = Path(__file__).with_name("golden_default.json")
+CASES_FIXTURE = Path(__file__).with_name("golden_cases.json")
 SEEDS = (0, 1, 2)
+CASES = {
+    "eps0.05-n20-T300-seed5": (
+        ScenarioConfig(epsilon_per_step=0.05, n_resources=20, n_ticks=300), 5),
+    "n300-T60-prefix3-seed9": (
+        ScenarioConfig(n_resources=300, n_ticks=60, stationary_prefix=3), 9),
+}
 # equal and static never call the allocation solve; event and online do, and
 # a different but exact solve may round differently in the last digits
 SOLVED = (PolicyKind.EVENT_TRIGGERED, PolicyKind.ONLINE_DYNAMIC)
@@ -32,11 +48,27 @@ def _series(result) -> dict:
             "reallocation_ticks": list(result.reallocation_ticks)}
 
 
+def _digest(arr, dtype: str) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(arr, dtype=dtype).tobytes()).hexdigest()
+
+
+def _case_series(result) -> dict:
+    return {**_series(result),
+            "regret_sha256": _digest(result.regret_series, "<f8"),
+            "allocation_sha256": _digest(result.allocation_series, "<f8"),
+            "requirement_sha256": _digest(result.requirement_series, "<i8")}
+
+
 def record() -> None:
     golden = {str(seed): {kind.value: _series(result) for kind, result
                           in compare_policies(ScenarioConfig(), seed).items()}
               for seed in SEEDS}
     FIXTURE.write_text(json.dumps(golden, separators=(",", ":")) + "\n")
+    cases = {name: {kind.value: _case_series(result) for kind, result
+                    in compare_policies(config, seed).items()}
+             for name, (config, seed) in CASES.items()}
+    CASES_FIXTURE.write_text(json.dumps(cases, separators=(",", ":")) + "\n")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -51,6 +83,16 @@ def test_policies_match_golden(seed):
                                            atol=SOLVED_TOL, err_msg=key)
             else:
                 assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_policies_match_golden_cases_exactly(name):
+    golden = json.loads(CASES_FIXTURE.read_text())[name]
+    config, seed = CASES[name]
+    for kind, result in compare_policies(config, seed).items():
+        want, got = golden[kind.value], _case_series(result)
+        for key in want:
+            assert got[key] == want[key], f"{kind.value}: {key}"
 
 
 if __name__ == "__main__":

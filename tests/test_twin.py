@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from twinalloc.solver import PGAConfig, pga_solve
+from twinalloc.solver import (BoxSet, PGAConfig, SmoothConvexProblem,
+                              pga_solve)
 from twinalloc.twin import (DEFAULT_EPSILON_FACTOR, DigitalTwin,
                             PerformanceSample, RegretTracker,
                             check_satisfaction, compute_requirement,
@@ -53,19 +54,27 @@ def test_requirement_floor_at_one():
 
 def test_requirement_bridge_is_exact():
     twin = make_twin()
-    for k in range(1, 46):
+    for k in range(1, 10_001):
         twin.assign_task(k, k)
         assert compute_requirement(twin)[0] == k
+    narrow = DigitalTwin(0, np.random.default_rng(2), step_alpha=0.3,
+                         box_low=-0.7, box_high=2.9)
+    for k in range(1, 10_001):
+        narrow.assign_task(k, k)
+        assert compute_requirement(narrow)[0] == k
+
+
+def test_box_diameter_matches_box_set():
+    for low, high in ((0.0, 10.0), (-0.7, 2.9), (1e-3, 7.3e5), (-3.1, -0.2)):
+        twin = DigitalTwin(0, np.random.default_rng(0), box_low=low,
+                           box_high=high)
+        assert twin.diameter == BoxSet([low], [high]).diameter()
 
 
 def test_no_task_yet_raises():
     twin = make_twin()
     with pytest.raises(RuntimeError):
         compute_requirement(twin)
-    with pytest.raises(RuntimeError):
-        _ = twin.control_problem
-    with pytest.raises(RuntimeError):
-        _ = twin.pga_config
     with pytest.raises(RuntimeError):
         step_control(twin, 5)
     with pytest.raises(ValueError):
@@ -79,7 +88,7 @@ def test_single_step_reaches_setpoint():
     twin.assign_task(0, 1)
     out = step_control(twin, 1)
     assert out.iterations_granted == 1
-    assert np.array_equal(out.action_u, [3.0])
+    assert twin.action == 3.0
     assert out.sample.achieved == 0.0
     assert out.sample.regret_increment == 0.0
 
@@ -130,10 +139,9 @@ def test_action_stays_in_box_and_gap_nonnegative():
     for tick in range(60):
         twin.assign_task(tick, int(rng.integers(1, 40)))
         out = step_control(twin, float(rng.uniform(0, 50)))
-        assert 0.0 <= out.action_u[0] <= 10.0
+        assert 0.0 <= twin.action <= 10.0
         assert out.sample.achieved >= -1e-12
         assert out.sample.requested_baseline >= -1e-12
-        assert twin.action == out.action_u[0]
 
 
 def test_step_control_agrees_with_generic_solver():
@@ -142,11 +150,15 @@ def test_step_control_agrees_with_generic_solver():
     twin = DigitalTwin(0, FixedTarget(7.25))
     twin.assign_task(0, 30)
     start = twin.action
-    out = step_control(twin, 13)
-    result = pga_solve(twin.control_problem, [start],
+    step_control(twin, 13)
+    problem = SmoothConvexProblem(
+        objective=lambda x: float(0.5 * np.sum((x - 7.25) ** 2)),
+        gradient=lambda x: x - 7.25, lipschitz_l=1.0,
+        feasible_set=BoxSet([0.0], [10.0]))
+    result = pga_solve(problem, [start],
                        PGAConfig(step_alpha=twin.step_alpha,
                                  max_iterations=13, stall_tolerance=0.0))
-    assert float(result.x[0]) == out.action_u[0]
+    assert float(result.x[0]) == twin.action
 
 
 def test_update_regret_accumulates():
