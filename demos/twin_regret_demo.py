@@ -16,16 +16,17 @@ TICKS = 25
 
 
 def run(grant_offset: int, seed: int = 11):
-    twin = DigitalTwin(0, np.random.default_rng(seed))
+    twin = DigitalTwin(0)
+    setpoints = np.random.default_rng(seed).uniform(0.0, 10.0, TICKS)
     loads = np.random.default_rng(99).integers(8, 30, TICKS)
     tracker = None
     for tick in range(TICKS):
-        twin.assign_task(tick, int(loads[tick]))
+        twin.assign_task(tick, int(loads[tick]), float(setpoints[tick]))
         if tracker is None:
             tracker = twin.make_tracker(0)
         k_prime, _ = compute_requirement(twin)
-        out = step_control(twin, max(k_prime + grant_offset, 1))
-        update_regret(tracker, out.sample)
+        sample = step_control(twin, max(k_prime + grant_offset, 1))
+        update_regret(tracker, sample)
     return tracker
 
 

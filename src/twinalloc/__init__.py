@@ -1,8 +1,8 @@
 """Controller-aware network resource allocation for digital-twin plants.
 
 A deterministic discrete-time simulator in which per-resource digital twins
-convert control-task tolerances into iteration requirements via a projected
-gradient descent certificate, and a central network manager splits a shared
+report the iteration requirements of their control tasks (projected gradient
+descent certificate counts), and a central network manager splits a shared
 computation budget across them under four policies: equal split, static,
 regret-triggered event reallocation, and receding-horizon online allocation.
 """
@@ -15,7 +15,8 @@ from .core import (DEFAULT_MAX_DEVIATION, DEFAULT_SLACK_PENALTY,
 from .engine import (SimResult, SimulationError, compare_policies,
                      draw_initial_requirements, evolve_requirements,
                      load_scenario, requirement_walk, run_scenario,
-                     save_scenario, scenario_from_dict, scenario_to_dict)
+                     save_scenario, scenario_from_dict, scenario_to_dict,
+                     target_walk)
 from .manager import (AllocationSolution, EventHistory, PolicyKind,
                       allocate_equal, allocate_event, allocate_online,
                       allocate_static, estimate_event_horizon, should_trigger)
@@ -25,15 +26,15 @@ from .report import (build_manifest, config_digest, render_comparison_svg,
 from .solver import (BoxSet, CappedSimplexSet, PGAConfig, PGAResult,
                      SmoothConvexProblem, SolverError, iterations_for_delta,
                      pga_solve, project_box, project_capped_simplex)
-from .twin import (ControlOutput, DigitalTwin, PerformanceSample,
-                   RegretTracker, check_satisfaction, compute_requirement,
+from .twin import (DigitalTwin, PerformanceSample, RegretTracker,
+                   check_satisfaction, compute_requirement,
                    forecast_requirements, step_control, update_regret)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllocationConstraints", "AllocationSolution", "BoxSet",
-    "CappedSimplexSet", "ControlOutput", "DEFAULT_MAX_DEVIATION",
+    "CappedSimplexSet", "DEFAULT_MAX_DEVIATION",
     "DEFAULT_SLACK_PENALTY", "DigitalTwin", "DimensionMismatch",
     "EventHistory", "InfeasibleSetError", "NetworkState",
     "PGAConfig", "PGAResult", "PerformanceSample", "PolicyKind",
@@ -47,6 +48,7 @@ __all__ = [
     "load_scenario", "pga_solve", "project_box", "project_capped_simplex",
     "render_comparison_svg", "render_metrics_csv", "requirement_walk",
     "run_scenario", "save_scenario", "scenario_from_dict", "scenario_to_dict",
-    "should_trigger", "step_control", "summarize", "update_regret",
-    "validate_scenario", "write_manifest", "write_metrics_csv",
+    "should_trigger", "step_control", "summarize", "target_walk",
+    "update_regret", "validate_scenario", "write_manifest",
+    "write_metrics_csv",
 ]

@@ -1,12 +1,12 @@
 """Deterministic tick-loop orchestration of twins and the network manager.
 
-The plant-floor requirement walk is drawn for the whole run up front. Per
-tick: every twin certifies its iteration requirement once and reports it,
-the active allocation policy runs on those reports (persistence forecasts
-repeat the report vector), every twin's controller steps with its grant,
-then metrics are recorded. All randomness
-comes from named substreams of one master seed, so requirement trajectories
-are identical across policies and independent of execution order.
+The plant-floor requirement walk and the twins' setpoint walks are drawn
+for the whole run up front. Per tick: every twin takes its requirement and
+setpoint and reports the requirement, the active allocation policy runs on
+those reports (persistence forecasts repeat the report vector), every twin's
+controller steps with its grant, then metrics are recorded. All randomness
+comes from named substreams of one master seed, so the walks are identical
+across policies and independent of execution order.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .core import (_FLOAT_FIELDS, _INT_FIELDS, _OPTIONAL_FLOAT_FIELDS,
 from .manager import (EventHistory, PolicyKind, allocate_equal,
                       allocate_event, allocate_online, allocate_static,
                       estimate_event_horizon, should_trigger)
-from .twin import (DigitalTwin, compute_requirement, step_control,
-                   update_regret)
+from .twin import (DEFAULT_BOX_HIGH, DEFAULT_BOX_LOW, DigitalTwin,
+                   compute_requirement, step_control, update_regret)
 # Not called here. Kept bound in this module, like the one-tick scalar walk
 # evolve_requirements, because the benchmark's tracer (perfbench/tracer.py)
 # wraps both names here and its tests require every wrapped name to exist.
@@ -102,6 +102,19 @@ def requirement_walk(config: ScenarioConfig, seed: int) -> np.ndarray:
     return walk
 
 
+def target_walk(config: ScenarioConfig, seed: int) -> np.ndarray:
+    """(n_ticks, n) setpoints, uniform in the default task box.
+
+    Column i is one block draw on twin i's target substream, which yields
+    the same values as one scalar draw per tick.
+    """
+    targets = np.empty((config.n_ticks, config.n_resources))
+    for i in range(config.n_resources):
+        targets[:, i] = _stream(seed, _DOMAIN_TWIN_TARGETS, i).uniform(
+            DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH, size=config.n_ticks)
+    return targets
+
+
 @dataclass(frozen=True)
 class SimResult:
     """Everything one (config, policy, seed) run produced."""
@@ -135,11 +148,11 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
     n = config.n_resources
     n_ticks = config.n_ticks
 
-    twins = [DigitalTwin(i, _stream(seed, _DOMAIN_TWIN_TARGETS, i),
-                         requirement_gap=config.gap,
+    twins = [DigitalTwin(i, requirement_gap=config.gap,
                          epsilon_per_step=config.epsilon_per_step)
              for i in range(n)]
     requirement_series = requirement_walk(config, seed)
+    targets = target_walk(config, seed)
     capacity = (float(config.capacity_b) if config.capacity_b is not None
                 else float(requirement_series[0].sum()))
 
@@ -165,8 +178,9 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
 
     for t in range(n_ticks):
         try:
-            for twin, req in zip(twins, requirement_series[t].tolist()):
-                twin.assign_task(t, req)
+            for twin, req, target in zip(twins, requirement_series[t].tolist(),
+                                         targets[t].tolist()):
+                twin.assign_task(t, req, target)
             reports = [compute_requirement(tw) for tw in twins]
             k_prime = np.array([kp for kp, _ in reports], dtype=float)
             k_lower = np.array([kl for _, kl in reports], dtype=float)
@@ -206,7 +220,7 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
                     realloc_ticks.append(t)
 
             for twin, tracker, grant in zip(twins, trackers, alloc.tolist()):
-                update_regret(tracker, step_control(twin, grant).sample)
+                update_regret(tracker, step_control(twin, grant))
 
             residual_series[t] = compute_residual(k_prime, alloc)[1]
             regret_series[t] = [tr.cumulative_regret_R for tr in trackers]

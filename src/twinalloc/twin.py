@@ -1,20 +1,22 @@
 """Digital twin of one physical resource.
 
-Each tick the twin receives a fresh quadratic tracking task (a new setpoint
-drawn from its own RNG stream), converts its solve tolerance into an
-iteration-count requirement via the descent certificate, executes however
-many iterations the network manager granted, and measures the performance
-gap versus the counterfactual run that got everything it asked for.
+Each tick the twin receives a fresh quadratic tracking task: the plant
+floor's iteration requirement and a setpoint, both pre-drawn by the engine.
+It reports the requirement, executes however many descent iterations the
+network manager granted, and measures the performance gap versus the
+counterfactual run that got everything it asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, floor, isfinite
+from operator import index
 
 import numpy as np
 
-from .solver import iterations_for_delta
+# Not called here; kept bound for the benchmark's tracer, as in engine.py.
+from .solver import iterations_for_delta  # noqa: F401
 
 # Default per-step regret budget as a fraction of the twin's initial solve
 # tolerance, so the trigger threshold scales with each twin's own stakes.
@@ -25,6 +27,9 @@ DEFAULT_TWIN_STEP_ALPHA = 0.2
 # Lifts a grant a rounding error below an integer up to it before floor:
 # allocations that are integers in exact arithmetic come out a few ulps off.
 _FLOOR_GUARD = 1e-9
+# Default task box, shared by DigitalTwin and the engine's setpoint walk.
+DEFAULT_BOX_LOW = 0.0
+DEFAULT_BOX_HIGH = 10.0
 
 
 @dataclass(frozen=True)
@@ -57,27 +62,20 @@ class RegretTracker:
         self.cumulative_regret_R = 0.0
 
 
-@dataclass(frozen=True)
-class ControlOutput:
-    iterations_granted: int
-    sample: PerformanceSample
-
-
 class DigitalTwin:
     """Owns one resource's control task, requirement reports and actions.
 
     The exogenous plant-floor load arrives as a per-tick iteration
-    requirement; assign_task converts it into the equivalent solve tolerance
-    and certifies it once, so that the certificate arithmetic reproduces
-    exactly that count. The twin's action state persists across ticks: each
-    tick's solve starts from the previously applied action.
+    requirement k', which the twin reports as is; its solve tolerance
+    D^2 / (2 alpha k') matters only on the first task, where it sets the
+    default regret budget. The twin's action state persists across ticks:
+    each tick's solve starts from the previously applied action.
     """
 
-    def __init__(self, resource_id: int, rng: np.random.Generator,
-                 requirement_gap: float = 10.0,
+    def __init__(self, resource_id: int, requirement_gap: float = 10.0,
                  step_alpha: float = DEFAULT_TWIN_STEP_ALPHA,
-                 box_low: float = 0.0, box_high: float = 10.0,
-                 curvature: float = 1.0,
+                 box_low: float = DEFAULT_BOX_LOW,
+                 box_high: float = DEFAULT_BOX_HIGH, curvature: float = 1.0,
                  epsilon_per_step: float | None = None):
         if requirement_gap < 0:
             raise ValueError("requirement_gap must be nonnegative")
@@ -88,7 +86,6 @@ class DigitalTwin:
         if not 0 < step_alpha <= 1.0 / curvature:
             raise ValueError("step_alpha must lie in (0, 1/L]")
         self.resource_id = resource_id
-        self.rng = rng
         self.requirement_gap = float(requirement_gap)
         self.step_alpha = float(step_alpha)
         self.curvature = float(curvature)
@@ -105,23 +102,25 @@ class DigitalTwin:
 
     # -- per-tick task assignment -----------------------------------------
 
-    def assign_task(self, tick: int, required_iterations: int) -> None:
-        """Start a tick: draw a fresh setpoint and certify the requirement.
+    def assign_task(self, tick: int, required_iterations: int,
+                    target: float) -> None:
+        """Start a tick with the plant floor's requirement and a setpoint.
 
-        The tolerance is chosen so iterations_for_delta returns exactly
-        required_iterations, i.e. the twin asks the network for the load the
-        plant floor imposed on it. The certified pair (k_prime, k_lower) is
-        kept for compute_requirement and step_control.
+        The twin asks the network for exactly the load the plant floor
+        imposed on it, k_prime = required_iterations, and keeps the pair
+        (k_prime, k_lower) for compute_requirement and step_control. The
+        setpoint must lie in the task box: it is then the task's minimizer.
         """
-        if required_iterations < 1:
+        k_prime = index(required_iterations)  # TypeError unless integral
+        if k_prime < 1:
             raise ValueError("required_iterations must be >= 1")
+        if not self.box_low <= target <= self.box_high:  # also rejects NaN
+            raise ValueError("target must lie in the task box")
         self._tick = tick
-        self._target = float(self.rng.uniform(self.box_low, self.box_high))
-        diam = self.diameter
-        delta = diam * diam / (2.0 * self.step_alpha * required_iterations)
+        self._target = target
         if self._initial_delta is None:
-            self._initial_delta = delta
-        k_prime = iterations_for_delta(diam, self.step_alpha, delta)
+            self._initial_delta = (self.diameter * self.diameter
+                                   / (2.0 * self.step_alpha * k_prime))
         self._requirement = (
             k_prime, max(int(ceil(k_prime - self.requirement_gap)), 1))
 
@@ -150,12 +149,13 @@ def compute_requirement(twin: DigitalTwin) -> tuple[int, int]:
     return twin._requirement
 
 
-def step_control(twin: DigitalTwin, granted: float) -> ControlOutput:
+def step_control(twin: DigitalTwin, granted: float) -> PerformanceSample:
     """Run the granted iterations (at least one) and measure performance.
 
     The action is the final iterate itself (identity actuation map). The
     baseline continues the same descent to the requested count from the same
     start, so granting exactly k_prime makes achieved equal the baseline.
+    Both are f(x) - f(x*) with x* = target, so f(x*) = 0.
     """
     if not isfinite(granted):
         raise ValueError("granted must be finite")
@@ -166,35 +166,26 @@ def step_control(twin: DigitalTwin, granted: float) -> ControlOutput:
     g = max(int(floor(granted + _FLOOR_GUARD)), 1)
     k_prime = twin._requirement[0]
 
-    lo = twin.box_low
-    hi = twin.box_high
     kappa = twin.curvature
-    alpha = twin.step_alpha
-    c = twin._target
-    # analytic minimizer of the clamped 1-dim quadratic
-    x_star = min(max(c, lo), hi)
-    f_star = 0.5 * kappa * (x_star - c) ** 2
-
+    ak = twin.step_alpha * kappa
+    c, lo, hi = twin._target, twin.box_low, twin.box_high
+    # ends = [x after min(g, k'), x after max(g, k')]: the shorter run goes
+    # first and the longer one continues from it
     x = twin._action
-    x_granted = x
-    x_requested = x
-    for k in range(1, max(g, k_prime) + 1):
-        x = x - alpha * kappa * (x - c)
-        if x < lo:
-            x = lo
-        elif x > hi:
-            x = hi
-        if k == g:
-            x_granted = x
-        if k == k_prime:
-            x_requested = x
-
-    achieved = 0.5 * kappa * (x_granted - c) ** 2 - f_star
-    baseline = 0.5 * kappa * (x_requested - c) ** 2 - f_star
+    ends = []
+    for steps in (min(g, k_prime), abs(g - k_prime)):
+        for _ in range(steps):
+            x = x - ak * (x - c)
+            if x < lo:
+                x = lo
+            elif x > hi:
+                x = hi
+        ends.append(x)
+    x_granted, x_requested = ends[g > k_prime], ends[g < k_prime]
     twin._action = x_granted
-    sample = PerformanceSample(tick=twin._tick, achieved=achieved,
-                               requested_baseline=baseline)
-    return ControlOutput(iterations_granted=g, sample=sample)
+    return PerformanceSample(
+        tick=twin._tick, achieved=0.5 * kappa * (x_granted - c) ** 2,
+        requested_baseline=0.5 * kappa * (x_requested - c) ** 2)
 
 
 def update_regret(tracker: RegretTracker,

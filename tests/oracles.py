@@ -1,11 +1,12 @@
 """Independent reference implementations used to check the solvers.
 
 Everything here is deliberately brute force: dense grids, exhaustive
-active-set enumeration, rejection sampling. None of it shares code with the
-package under test.
+active-set enumeration, rejection sampling, a step-by-step descent. None of
+it shares code with the package under test.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -74,3 +75,35 @@ def penalized_tracking_objective(a, target, soft_lower, dev_floor, rho,
     dev = np.sum(np.maximum(dev_floor - a, 0.0) ** 2, axis=1)
     vals = weight * track + rho * (low + dev)
     return vals if vals.size > 1 else float(vals[0])
+
+
+def step_control_reference(x0, c, k_prime, granted, lo=0.0, hi=10.0,
+                           kappa=1.0, alpha=0.2):
+    """The twin's descent as one loop over max(g, k') clamped steps.
+
+    Records the iterate at step g (the grant, floored after a 1e-9 lift)
+    and at step k' (the request) as it passes them, and measures both
+    against the clamped minimizer. Returns (action, achieved, baseline).
+    """
+    g = max(int(math.floor(granted + 1e-9)), 1)
+    # analytic minimizer of the clamped 1-dim quadratic
+    x_star = min(max(c, lo), hi)
+    f_star = 0.5 * kappa * (x_star - c) ** 2
+
+    x = x0
+    x_granted = x
+    x_requested = x
+    for k in range(1, max(g, k_prime) + 1):
+        x = x - alpha * kappa * (x - c)
+        if x < lo:
+            x = lo
+        elif x > hi:
+            x = hi
+        if k == g:
+            x_granted = x
+        if k == k_prime:
+            x_requested = x
+
+    achieved = 0.5 * kappa * (x_granted - c) ** 2 - f_star
+    baseline = 0.5 * kappa * (x_requested - c) ** 2 - f_star
+    return x_granted, achieved, baseline

@@ -197,19 +197,19 @@ def test_criterion_6_zero_regret_on_full_grant():
     try:
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
-            twins = [DigitalTwin(i, np.random.default_rng((seed, i)))
-                     for i in range(5)]
+            twins = [DigitalTwin(i) for i in range(5)]
+            targets = [np.random.default_rng((seed, i)) for i in range(5)]
             trackers = None
             for tick in range(50):
                 reqs = rng.integers(1, 45, len(twins))
-                for twin, req in zip(twins, reqs):
-                    twin.assign_task(tick, int(req))
+                for twin, req, target in zip(twins, reqs, targets):
+                    twin.assign_task(tick, int(req), target.uniform(0.0, 10.0))
                 if trackers is None:
                     trackers = [tw.make_tracker(0) for tw in twins]
                 for twin, tracker in zip(twins, trackers):
                     k_prime, _ = compute_requirement(twin)
                     out = step_control(twin, float(k_prime))
-                    update_regret(tracker, out.sample)
+                    update_regret(tracker, out)
                     assert abs(tracker.cumulative_regret_R) <= 1e-9
 
         rng = np.random.default_rng(8)

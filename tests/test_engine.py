@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from twinalloc import engine
 from twinalloc.core import ScenarioConfig, ScenarioValidationError, compute_residual
 from twinalloc.engine import (SimulationError, compare_policies,
                               draw_initial_requirements, evolve_requirements,
                               load_scenario, requirement_walk, run_scenario,
                               save_scenario, scenario_from_dict,
-                              scenario_to_dict)
+                              scenario_to_dict, target_walk)
 from twinalloc.manager import PolicyKind
 
 
@@ -126,6 +127,22 @@ def test_block_walk_matches_scalar_draws(d, prefix):
         assert (raw < 1).any() and (raw > 8).any()   # both clamps fire
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**31 + 5])
+def test_target_walk_matches_scalar_draws(seed):
+    # one scalar uniform draw per tick on twin i's substream (seed, 1, i)
+    for n in (1, 20):
+        for n_ticks in (1, 50):
+            cfg = ScenarioConfig(n_resources=n, n_ticks=n_ticks,
+                                 stationary_prefix=0)
+            targets = target_walk(cfg, seed)
+            assert targets.shape == (n_ticks, n)
+            for i in range(n):
+                rng = np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence((seed, 1, i))))
+                scalar = [rng.uniform(0.0, 10.0) for _ in range(n_ticks)]
+                assert targets[:, i].tolist() == scalar
+
+
 # ---------------------------------------------------------------- hand traces
 
 HT_KWARGS = dict(n_resources=2, n_ticks=3, stationary_prefix=3,
@@ -231,6 +248,33 @@ def test_online_reallocates_every_tick(small_runs):
     cfg, results = small_runs
     online = results[PolicyKind.ONLINE_DYNAMIC]
     assert online.reallocation_ticks == tuple(range(1, cfg.n_ticks))
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.EVENT_TRIGGERED,
+                                    PolicyKind.ONLINE_DYNAMIC])
+def test_solves_see_the_previous_allocation_as_state(monkeypatch, policy):
+    # the network state handed to each re-solve is the allocation applied
+    # on the tick before it, or zeros before the first tick
+    seen = []
+
+    def recording(solve):
+        def wrapped(state, *args):
+            seen.append(state.xi.copy())
+            return solve(state, *args)
+        return wrapped
+
+    for name in ("allocate_event", "allocate_online"):
+        monkeypatch.setattr(f"twinalloc.engine.{name}",
+                            recording(getattr(engine, name)))
+    cfg = small_config(n_ticks=60, stationary_prefix=0, epsilon_per_step=0.05)
+    res = run_scenario(cfg, policy, 3)
+    first = [0] if policy is PolicyKind.ONLINE_DYNAMIC else []
+    ticks = first + list(res.reallocation_ticks)
+    assert len(ticks) == len(seen) >= 5
+    for t, xi in zip(ticks, seen):
+        want = (np.zeros(cfg.n_resources) if t == 0
+                else res.allocation_series[t - 1])
+        assert np.array_equal(xi, want)
 
 
 def test_failures_carry_the_tick(monkeypatch):
