@@ -9,6 +9,7 @@ import sys
 
 from twinalloc import (PolicyKind, ScenarioConfig, compare_policies,
                        render_comparison_svg, summarize, write_metrics_csv)
+from twinalloc.report import metrics_rows
 
 
 def main(argv):
@@ -26,7 +27,8 @@ def main(argv):
         import os
         os.makedirs(out, exist_ok=True)
         write_metrics_csv(os.path.join(out, "comparison.csv"),
-                          [results[k] for k in PolicyKind])
+                          [row for k in PolicyKind
+                           for row in metrics_rows(results[k])])
         with open(os.path.join(out, "comparison.svg"), "w",
                   encoding="utf-8", newline="") as fh:
             fh.write(render_comparison_svg(results, config))

@@ -78,7 +78,7 @@ def cmd_simulate(args, argv) -> int:
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "metrics.csv")
     manifest_path = os.path.join(args.out, "manifest.json")
-    write_metrics_csv(csv_path, result)
+    write_metrics_csv(csv_path, metrics_rows(result))
     manifest = build_manifest(_command_string(argv), config, seed,
                               outputs={"metrics_csv": csv_path},
                               results={policy: result})

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,29 +37,16 @@ class ScenarioValidationError(ValueError):
         super().__init__("; ".join(self.diagnostics))
 
 
-def _as_readonly(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    arr.flags.writeable = False
-    return arr
-
-
 def requirement_vector(values) -> np.ndarray:
     """Validate a per-resource requirement vector (entries >= 0)."""
-    arr = _as_readonly(values, "requirement vector")
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("requirement vector must be a non-empty 1-d vector")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("requirement vector must be finite")
     if np.any(arr < 0):
         raise ValueError("requirements must be nonnegative")
-    return arr
-
-
-def allocation_vector(values) -> np.ndarray:
-    """Validate a per-resource allocation vector (entries >= 0)."""
-    arr = _as_readonly(values, "allocation vector")
-    if np.any(arr < 0):
-        raise ValueError("allocations must be nonnegative")
+    arr.flags.writeable = False
     return arr
 
 
@@ -103,28 +89,6 @@ class AllocationConstraints:
     @property
     def n(self) -> int:
         return self.requested.size
-
-
-@dataclass(frozen=True)
-class NetworkState:
-    """Current effective allocation state of the network."""
-
-    xi: np.ndarray
-
-    def __post_init__(self):
-        xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
-        if not np.all(np.isfinite(xi)):
-            raise ValueError("network state must be finite")
-        xi.flags.writeable = False
-        object.__setattr__(self, "xi", xi)
-
-    @property
-    def n(self) -> int:
-        return self.xi.size
-
-    @classmethod
-    def zeros(cls, n: int) -> "NetworkState":
-        return cls(np.zeros(n))
 
 
 def compute_residual(r, a):
@@ -181,13 +145,8 @@ def _is_finite(value) -> bool:
                                   and math.isfinite(value))
 
 
-def validate_scenario(config: ScenarioConfig,
-                      requirements: np.ndarray | None = None) -> ScenarioConfig:
-    """Check every ScenarioConfig invariant; raise with named diagnostics.
-
-    With a realized initial requirement vector, additionally warns when the
-    implied soft lower bounds cannot all fit inside the capacity.
-    """
+def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
+    """Check every ScenarioConfig invariant; raise with named diagnostics."""
     diags = [f"{key} must be an integer" for key in _INT_FIELDS
              if not _is_integer(getattr(config, key))]
     diags += [f"{key} must be a pair of integers" for key in _RANGE_FIELDS
@@ -234,12 +193,4 @@ def validate_scenario(config: ScenarioConfig,
         diags.append("master_seed must fit in an unsigned 64-bit int")
     if diags:
         raise ScenarioValidationError(diags)
-
-    if requirements is not None and config.capacity_b is not None:
-        lower = np.maximum(np.asarray(requirements, dtype=float) - config.gap, 1.0)
-        if lower.sum() > config.capacity_b:
-            warnings.warn(
-                "sum of soft lower bounds exceeds capacity_b; "
-                "allocations will violate some minimum-grant bounds",
-                RuntimeWarning, stacklevel=2)
     return config

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import (_FLOAT_FIELDS, _INT_FIELDS, _OPTIONAL_FLOAT_FIELDS,
                    _RANGE_FIELDS, DEFAULT_MAX_DEVIATION,
-                   AllocationConstraints, NetworkState, ScenarioConfig,
+                   AllocationConstraints, ScenarioConfig,
                    ScenarioValidationError, compute_residual,
                    validate_scenario)
 from .manager import (EventHistory, PolicyKind, allocate_equal,
@@ -164,7 +164,6 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
     trackers = None
     history = EventHistory()
     held_alloc = None         # current fixed allocation (equal/static/event)
-    alloc = None              # last tick's allocation: the network state
     tau_last = 0              # tick of the last reallocation event
 
     # built only where a policy solves, from this tick's reports
@@ -172,9 +171,6 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
         return AllocationConstraints(
             capacity_b=capacity, lower_bounds=k_lower, requested=k_prime,
             max_deviation=DEFAULT_MAX_DEVIATION, slack_penalty_rho=config.rho)
-
-    def state():
-        return NetworkState.zeros(n) if alloc is None else NetworkState(alloc)
 
     for t in range(n_ticks):
         try:
@@ -193,19 +189,17 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
                 alloc = held_alloc
             elif policy is PolicyKind.STATIC:
                 if held_alloc is None:
-                    held_alloc = allocate_static(k_prime,
-                                                 constraints()).allocation
+                    held_alloc = allocate_static(k_prime, capacity)
                 alloc = held_alloc
             elif policy is PolicyKind.EVENT_TRIGGERED:
                 if held_alloc is None:
-                    held_alloc = allocate_static(k_prime,
-                                                 constraints()).allocation
+                    held_alloc = allocate_static(k_prime, capacity)
                 elif should_trigger(trackers, t - tau_last,
                                     history.max_reallocation_period):
                     horizon = estimate_event_horizon(history)
                     forecast = np.tile(k_prime, (horizon + 1, 1))
-                    held_alloc = allocate_event(
-                        state(), forecast, constraints(), horizon).allocation
+                    held_alloc = allocate_event(forecast, constraints(),
+                                                horizon)
                     history.record(t)
                     realloc_ticks.append(t)
                     tau_last = t
@@ -214,8 +208,7 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
                 alloc = held_alloc
             else:
                 forecast = np.tile(k_prime, (2, 1))
-                alloc = allocate_online(state(), forecast,
-                                        constraints()).allocation
+                alloc = allocate_online(forecast, constraints())
                 if t >= 1:
                     realloc_ticks.append(t)
 

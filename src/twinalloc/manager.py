@@ -15,9 +15,8 @@ from math import floor
 
 import numpy as np
 
-from .core import AllocationConstraints, NetworkState
-from .solver import (hinge_quadratic_objective, hinge_quadratic_solve,
-                     project_capped_simplex)
+from .core import AllocationConstraints
+from .solver import hinge_quadratic_solve, project_capped_simplex
 from .twin import check_satisfaction
 
 DEFAULT_WINDOW_M = 5
@@ -59,34 +58,6 @@ class EventHistory:
         self.event_ticks.append(tick)
 
 
-@dataclass(frozen=True)
-class AllocationSolution:
-    allocation: np.ndarray
-    slack_gamma: np.ndarray   # 2n rows: lower-bound slacks then deviation slacks
-    objective_value: float
-    iterations: int = 0
-
-    def __post_init__(self):
-        allocation = np.asarray(self.allocation, dtype=float)
-        slack = np.asarray(self.slack_gamma, dtype=float)
-        if np.any(allocation < -1e-9):
-            raise ValueError("allocation must be nonnegative")
-        if np.any(slack < -1e-9):
-            raise ValueError("slack must be nonnegative")
-        allocation.flags.writeable = False
-        slack.flags.writeable = False
-        object.__setattr__(self, "allocation", allocation)
-        object.__setattr__(self, "slack_gamma", slack)
-
-
-def _slack_for(a: np.ndarray, constraints: AllocationConstraints) -> np.ndarray:
-    # minimal slack making the soft rows feasible at allocation a
-    low_gap = np.maximum(constraints.lower_bounds - a, 0.0)
-    dev_gap = np.maximum(
-        constraints.requested - a - constraints.max_deviation, 0.0)
-    return np.concatenate([low_gap, dev_gap])
-
-
 def allocate_equal(n: int, capacity_b: float) -> np.ndarray:
     """Uniform split of the budget; ignores every requirement report."""
     if n < 1:
@@ -96,20 +67,14 @@ def allocate_equal(n: int, capacity_b: float) -> np.ndarray:
     return np.full(n, capacity_b / n)
 
 
-def allocate_static(expected_r, constraints: AllocationConstraints
-                    ) -> AllocationSolution:
+def allocate_static(expected_r, capacity_b: float) -> np.ndarray:
     """Best fixed allocation for an expected requirement vector.
 
     Tracking-only least squares over the budget set; the minimizer is the
     Euclidean projection of the expected requirements.
     """
     r_bar = np.asarray(expected_r, dtype=float)
-    a = project_capped_simplex(r_bar, np.zeros_like(r_bar),
-                               constraints.capacity_b)
-    objective = float(np.sum((a - r_bar) ** 2))
-    return AllocationSolution(allocation=a,
-                              slack_gamma=_slack_for(a, constraints),
-                              objective_value=objective)
+    return project_capped_simplex(r_bar, np.zeros_like(r_bar), capacity_b)
 
 
 def _check_forecast(forecast, n: int, horizon: int) -> np.ndarray:
@@ -125,35 +90,23 @@ def _check_forecast(forecast, n: int, horizon: int) -> np.ndarray:
     return fc
 
 
-def allocate_online(state: NetworkState, forecast,
-                    constraints: AllocationConstraints) -> AllocationSolution:
+def allocate_online(forecast, constraints: AllocationConstraints
+                    ) -> np.ndarray:
     """Receding-horizon allocation for the next step.
 
-    Minimizes tracking error against forecast row 1 plus the slack penalty
-    over the budget set; the objective adds the current state's cost
-    against row 0. The next allocation state is the allocation itself.
+    Minimizes tracking error against forecast row 1 (row 0 is the current
+    report) plus the slack penalty over the budget set.
     """
-    n = constraints.n
-    if state.n != n:
-        raise ValueError("state/constraints dimensions disagree")
-    fc = _check_forecast(forecast, n, 1)
-    rho = constraints.slack_penalty_rho
+    fc = _check_forecast(forecast, constraints.n, 1)
     dev_floor = constraints.requested - constraints.max_deviation
-    head_cost = float(np.sum((state.xi - fc[0]) ** 2))
-    target = fc[1]
-    a, passes = hinge_quadratic_solve(
-        target, constraints.lower_bounds, dev_floor, rho,
-        constraints.capacity_b)
-    objective = head_cost + hinge_quadratic_objective(
-        a, target, constraints.lower_bounds, dev_floor, 1.0, rho)
-    return AllocationSolution(allocation=a,
-                              slack_gamma=_slack_for(a, constraints),
-                              objective_value=objective, iterations=passes)
+    a, _ = hinge_quadratic_solve(
+        fc[1], constraints.lower_bounds, dev_floor,
+        constraints.slack_penalty_rho, constraints.capacity_b)
+    return a
 
 
-def allocate_event(state: NetworkState, forecast,
-                   constraints: AllocationConstraints,
-                   N_e: int) -> AllocationSolution:
+def allocate_event(forecast, constraints: AllocationConstraints,
+                   N_e: int) -> np.ndarray:
     """One fixed allocation held for the whole predicted inter-event horizon.
 
     Same cost family as allocate_online, but a single decision vector is
@@ -162,25 +115,16 @@ def allocate_event(state: NetworkState, forecast,
     """
     if N_e < 1:
         raise ValueError("N_e must be >= 1")
-    n = constraints.n
-    if state.n != n:
-        raise ValueError("state/constraints dimensions disagree")
-    fc = _check_forecast(forecast, n, N_e)
+    fc = _check_forecast(forecast, constraints.n, N_e)
     rho = constraints.slack_penalty_rho
     dev_floor = constraints.requested - constraints.max_deviation
-    head_cost = float(np.sum((state.xi - fc[0]) ** 2))
-    window = fc[1:N_e + 1]
-    mean_r = window.mean(axis=0)
+    mean_r = fc[1:N_e + 1].mean(axis=0)
     # N_e identical tracking stages plus a once-counted slack penalty: the
     # minimizer sees the penalty at rho / N_e relative to tracking the mean
-    a, passes = hinge_quadratic_solve(
+    a, _ = hinge_quadratic_solve(
         mean_r, constraints.lower_bounds, dev_floor, rho / N_e,
         constraints.capacity_b)
-    slack = _slack_for(a, constraints)
-    objective = head_cost + float(np.sum((window - a) ** 2))
-    objective += rho * float(np.sum(slack ** 2))
-    return AllocationSolution(allocation=a, slack_gamma=slack,
-                              objective_value=objective, iterations=passes)
+    return a
 
 
 def estimate_event_horizon(history: EventHistory) -> int:

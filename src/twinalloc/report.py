@@ -49,23 +49,18 @@ def metrics_rows(result: SimResult) -> list[tuple]:
                     np.cumsum(realloc).tolist()))
 
 
-def render_metrics_csv(results) -> str:
-    """CSV text for one result, an ordered sequence of results, or a list
-    of rows already built by metrics_rows."""
-    if isinstance(results, SimResult):
-        results = [results]
+def render_metrics_csv(rows) -> str:
+    """CSV text for rows built by metrics_rows, under the header."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    writer.writerows(itertools.chain.from_iterable(
-        metrics_rows(item) if isinstance(item, SimResult) else (item,)
-        for item in results))
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def write_metrics_csv(path, results) -> None:
+def write_metrics_csv(path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_metrics_csv(results))
+        fh.write(render_metrics_csv(rows))
 
 
 def _svg_path(xs, ys) -> str:

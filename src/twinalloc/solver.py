@@ -10,7 +10,7 @@ digital twins report to the network manager as their compute requirement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, sqrt
+from math import ceil
 from typing import Callable
 
 import numpy as np
@@ -26,16 +26,6 @@ _STEP_SLACK = 1.0 + 1e-9
 
 class SolverError(RuntimeError):
     """Iterates became non-finite or the solve could not proceed."""
-
-
-def project_box(x, lower, upper) -> np.ndarray:
-    """Euclidean projection onto the box {lower <= y <= upper}."""
-    x = np.asarray(x, dtype=float)
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), x.shape)
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), x.shape)
-    if np.any(lower > upper):
-        raise InfeasibleSetError("box has lower > upper")
-    return np.clip(x, lower, upper)
 
 
 def project_capped_simplex(x, lower, capacity: float) -> np.ndarray:
@@ -99,38 +89,6 @@ class BoxSet:
 
 
 @dataclass(frozen=True)
-class CappedSimplexSet:
-    """Constraint set {y >= lower, sum(y) <= capacity}."""
-
-    lower: np.ndarray
-    capacity: float
-
-    def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        if float(lower.sum()) > float(self.capacity) + 1e-9:
-            raise InfeasibleSetError("lower bounds sum exceeds capacity")
-        lower.flags.writeable = False
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "capacity", float(self.capacity))
-
-    def project(self, x) -> np.ndarray:
-        return project_capped_simplex(x, self.lower, self.capacity)
-
-    def diameter(self) -> float:
-        # vertices are lower and lower + budget * e_i; the farthest pair are
-        # two distinct spikes (distance budget * sqrt(2)) once n >= 2
-        budget = max(self.capacity - float(self.lower.sum()), 0.0)
-        if self.lower.size >= 2:
-            return budget * sqrt(2.0)
-        return budget
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - tol)
-                    and float(x.sum()) <= self.capacity + tol)
-
-
-@dataclass(frozen=True)
 class SmoothConvexProblem:
     """Objective/gradient pair with a known gradient Lipschitz constant,
     minimized over an attached feasible set."""
@@ -138,7 +96,7 @@ class SmoothConvexProblem:
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     lipschitz_l: float
-    feasible_set: "BoxSet | CappedSimplexSet"
+    feasible_set: BoxSet
 
     def __post_init__(self):
         if not self.lipschitz_l > 0:
@@ -245,16 +203,6 @@ def pga_solve(problem: SmoothConvexProblem, x0, config: PGAConfig) -> PGAResult:
 # A weight on the whole objective does not move the minimizer, so only rho,
 # the penalty relative to tracking, enters the solve.
 # ---------------------------------------------------------------------------
-
-def hinge_quadratic_objective(a, target, soft_lower, dev_floor,
-                              weight: float, rho: float) -> float:
-    a = np.asarray(a, dtype=float)
-    track = np.sum((a - target) ** 2)
-    low_gap = np.maximum(soft_lower - a, 0.0)
-    dev_gap = np.maximum(dev_floor - a, 0.0)
-    return float(weight * (track + rho * np.sum(low_gap ** 2)
-                           + rho * np.sum(dev_gap ** 2)))
-
 
 def hinge_quadratic_solve(target, soft_lower, dev_floor, rho: float,
                           capacity: float):

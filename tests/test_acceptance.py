@@ -16,7 +16,7 @@ from tests.conftest import record_criterion
 from tests.oracles import (box_qp_oracle, grid_capped_simplex,
                            penalized_tracking_objective, sample_capped_simplex)
 from twinalloc.cli import main
-from twinalloc.core import AllocationConstraints, NetworkState, ScenarioConfig
+from twinalloc.core import AllocationConstraints, ScenarioConfig
 from twinalloc.engine import compare_policies, save_scenario
 from twinalloc.manager import (PolicyKind, allocate_event, allocate_online,
                                allocate_static)
@@ -158,23 +158,26 @@ def test_criterion_5_solver_oracles():
             hinge = (np.sum(np.maximum(lower - grid, 0.0) ** 2, axis=1)
                      + np.sum(np.maximum(dev_floor - grid, 0.0) ** 2, axis=1))
 
-            state = NetworkState.zeros(n)
-            head = float(np.sum(requested ** 2))
             which = i % 3
             if which == 0:
-                sol = allocate_static(requested, constraints)
+                a = allocate_static(requested, capacity)
                 best = float(track.min())
+                rho, weight = 0.0, 1.0
             elif which == 1:
                 fc = np.tile(requested, (2, 1))
-                sol = allocate_online(state, fc, constraints)
-                best = head + float((track + 1e3 * hinge).min())
+                a = allocate_online(fc, constraints)
+                best = float((track + 1e3 * hinge).min())
+                rho, weight = 1e3, 1.0
             else:
                 fc = np.tile(requested, (3, 1))
-                sol = allocate_event(state, fc, constraints, N_e=2)
-                best = head + float((2.0 * track + 1e3 * hinge).min())
-            assert sol.objective_value <= best + 1e-2
-            assert np.all(sol.allocation >= -1e-12)
-            assert sol.allocation.sum() <= capacity + 1e-9
+                a = allocate_event(fc, constraints, N_e=2)
+                best = float((2.0 * track + 1e3 * hinge).min())
+                rho, weight = 1e3, 2.0
+            objective = penalized_tracking_objective(
+                a, requested, lower, dev_floor, rho, weight=weight)
+            assert objective <= best + 1e-2
+            assert np.all(a >= -1e-12)
+            assert a.sum() <= capacity + 1e-9
 
         for _ in range(10):
             n = int(rng.integers(1, 4))

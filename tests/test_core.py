@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from twinalloc.core import (AllocationConstraints, DimensionMismatch,
-                            NetworkState, ScenarioConfig,
-                            ScenarioValidationError, allocation_vector,
+                            ScenarioConfig, ScenarioValidationError,
                             compute_residual, requirement_vector,
                             validate_scenario)
 
@@ -24,7 +23,7 @@ def test_vector_validation_rejects_bad_input():
     with pytest.raises(ValueError):
         requirement_vector([])
     with pytest.raises(ValueError):
-        allocation_vector([[1.0, 2.0]])
+        requirement_vector([[1.0, 2.0]])
 
 
 def test_constraints_validation():
@@ -43,13 +42,6 @@ def test_constraints_validation():
     with pytest.raises(ValueError):
         AllocationConstraints(capacity_b=10.0, lower_bounds=[1],
                               requested=[5], max_deviation=-1.0)
-
-
-def test_network_state():
-    s = NetworkState.zeros(4)
-    assert s.n == 4 and not s.xi.any()
-    with pytest.raises(ValueError):
-        NetworkState(np.array([1.0, np.inf]))
 
 
 def test_residual_examples():
@@ -107,10 +99,3 @@ def test_scenario_invariant_diagnostics(kwargs, needle):
     with pytest.raises(ScenarioValidationError) as err:
         validate_scenario(ScenarioConfig(**kwargs))
     assert any(needle in d for d in err.value.diagnostics)
-
-
-def test_scenario_lower_bound_capacity_warning():
-    cfg = ScenarioConfig(n_resources=4, capacity_b=10.0)
-    tight = np.array([30, 30, 30, 30])
-    with pytest.warns(RuntimeWarning):
-        validate_scenario(cfg, requirements=tight)

@@ -252,15 +252,15 @@ def test_online_reallocates_every_tick(small_runs):
 
 @pytest.mark.parametrize("policy", [PolicyKind.EVENT_TRIGGERED,
                                     PolicyKind.ONLINE_DYNAMIC])
-def test_solves_see_the_previous_allocation_as_state(monkeypatch, policy):
-    # the network state handed to each re-solve is the allocation applied
-    # on the tick before it, or zeros before the first tick
+def test_solves_see_this_ticks_reports(monkeypatch, policy):
+    # every re-solve at tick t is posed on the reports of tick t: a
+    # persistence forecast of k', k' as the request and its gap floor
     seen = []
 
     def recording(solve):
-        def wrapped(state, *args):
-            seen.append(state.xi.copy())
-            return solve(state, *args)
+        def wrapped(forecast, constraints, *rest):
+            seen.append((np.array(forecast), constraints, rest))
+            return solve(forecast, constraints, *rest)
         return wrapped
 
     for name in ("allocate_event", "allocate_online"):
@@ -271,10 +271,15 @@ def test_solves_see_the_previous_allocation_as_state(monkeypatch, policy):
     first = [0] if policy is PolicyKind.ONLINE_DYNAMIC else []
     ticks = first + list(res.reallocation_ticks)
     assert len(ticks) == len(seen) >= 5
-    for t, xi in zip(ticks, seen):
-        want = (np.zeros(cfg.n_resources) if t == 0
-                else res.allocation_series[t - 1])
-        assert np.array_equal(xi, want)
+    for t, (forecast, constraints, rest) in zip(ticks, seen):
+        req = res.requirement_series[t]
+        assert np.all(forecast == req)
+        if policy is PolicyKind.EVENT_TRIGGERED:
+            assert forecast.shape[0] == rest[0] + 1
+        assert np.array_equal(constraints.requested, req)
+        assert np.array_equal(constraints.lower_bounds,
+                              np.maximum(np.ceil(req - cfg.gap), 1))
+        assert constraints.capacity_b == res.capacity_b
 
 
 def test_failures_carry_the_tick(monkeypatch):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tests.oracles import grid_capped_simplex, penalized_tracking_objective
-from twinalloc.core import AllocationConstraints, NetworkState
-from twinalloc.manager import (AllocationSolution, EventHistory, PolicyKind,
+from twinalloc.core import AllocationConstraints
+from twinalloc.manager import (EventHistory, PolicyKind,
                                allocate_equal, allocate_event, allocate_online,
                                allocate_static, estimate_event_horizon,
                                should_trigger)
@@ -18,14 +18,27 @@ def identity_setup(requested, capacity, lower=None, max_deviation=10.0,
     requested = np.asarray(requested, dtype=float)
     if lower is None:
         lower = np.maximum(requested - 10.0, 1.0)
-    constraints = AllocationConstraints(
+    return AllocationConstraints(
         capacity_b=capacity, lower_bounds=lower, requested=requested,
         max_deviation=max_deviation, slack_penalty_rho=rho)
-    return NetworkState.zeros(constraints.n), constraints
 
 
 def persistence(requested, steps):
     return np.tile(np.asarray(requested, dtype=float), (steps + 1, 1))
+
+
+def horizon_cost(points, fc, constraints, N_e=1):
+    """Tracking cost against forecast rows 1..N_e plus one slack penalty:
+    the event objective, and with N_e=1 the online one."""
+    lower = constraints.lower_bounds
+    dev_floor = constraints.requested - constraints.max_deviation
+    cost = penalized_tracking_objective(
+        points, 0.0, lower, dev_floor, constraints.slack_penalty_rho,
+        weight=0.0)
+    for row in fc[1:N_e + 1]:
+        cost = cost + penalized_tracking_objective(points, row, lower,
+                                                   dev_floor, 0.0)
+    return cost
 
 
 def test_policy_tokens():
@@ -43,57 +56,49 @@ def test_allocate_equal():
 
 
 def test_allocate_static_feasible_requests_pass_through():
-    _, constraints = identity_setup([5, 7, 3], capacity=20.0)
-    sol = allocate_static([5.0, 7.0, 3.0], constraints)
-    assert np.array_equal(sol.allocation, [5.0, 7.0, 3.0])
-    assert sol.objective_value == 0.0
-    assert not sol.slack_gamma.any()
-    assert sol.slack_gamma.size == 6
+    a = allocate_static([5.0, 7.0, 3.0], 20.0)
+    assert np.array_equal(a, [5.0, 7.0, 3.0])
 
 
 def test_allocate_static_is_projection():
-    _, constraints = identity_setup([4, 4], capacity=6.0, lower=[1, 1])
-    sol = allocate_static([4.0, 4.0], constraints)
-    assert np.allclose(sol.allocation, [3.0, 3.0])
-    assert sol.objective_value == pytest.approx(2.0)
+    a = allocate_static([4.0, 4.0], 6.0)
+    assert np.allclose(a, [3.0, 3.0])
+    assert penalized_tracking_objective(a, [4.0, 4.0], 0.0, 0.0,
+                                        rho=0.0) == pytest.approx(2.0)
 
     rng = np.random.default_rng(53)
     grid = grid_capped_simplex(2, 4.0, 0.05)
     for _ in range(10):
         r_bar = rng.uniform(0, 3, 2) + rng.uniform(0, 3, 2)
-        _, cons = identity_setup(np.ceil(r_bar) + 1, capacity=4.0,
-                                    lower=[1, 1])
-        sol = allocate_static(r_bar, cons)
+        a = allocate_static(r_bar, 4.0)
         assert np.array_equal(
-            sol.allocation,
-            project_capped_simplex(r_bar, np.zeros(2), 4.0))
+            a, project_capped_simplex(r_bar, np.zeros(2), 4.0))
         best = float(np.min(np.sum((grid - r_bar) ** 2, axis=1)))
-        assert sol.objective_value <= best + 1e-2
+        assert penalized_tracking_objective(a, r_bar, 0.0, 0.0,
+                                            rho=0.0) <= best + 1e-2
 
 
 def test_allocate_online_grants_feasible_requests_exactly():
-    state, constraints = identity_setup([5, 7, 3], capacity=20.0)
-    sol = allocate_online(state, persistence([5, 7, 3], 1), constraints)
-    assert np.array_equal(sol.allocation, [5.0, 7.0, 3.0])
-    assert not sol.slack_gamma.any()
-    # head term: the state starts at zero, first forecast row is the request
-    assert sol.objective_value == pytest.approx(25.0 + 49.0 + 9.0)
-    assert sol.iterations >= 1
+    constraints = identity_setup([5, 7, 3], capacity=20.0)
+    fc = persistence([5, 7, 3], 1)
+    a = allocate_online(fc, constraints)
+    assert np.array_equal(a, [5.0, 7.0, 3.0])
+    assert horizon_cost(a, fc, constraints) == 0.0
 
 
 def test_allocate_online_binding_instance_matches_grid():
-    state, constraints = identity_setup(
-        [4, 4], capacity=5.0, lower=[3, 3])
-    sol = allocate_online(state, persistence([4, 4], 1), constraints)
-    assert np.allclose(sol.allocation, [2.5, 2.5], atol=1e-6)
-    assert sol.objective_value == pytest.approx(536.5, abs=1e-6)
-    head = 32.0
+    constraints = identity_setup([4, 4], capacity=5.0, lower=[3, 3])
+    fc = persistence([4, 4], 1)
+    a = allocate_online(fc, constraints)
+    assert np.allclose(a, [2.5, 2.5], atol=1e-6)
+    objective = horizon_cost(a, fc, constraints)
+    assert objective == pytest.approx(504.5, abs=1e-6)
     grid = grid_capped_simplex(2, 5.0, 0.01)
     dev_floor = constraints.requested - constraints.max_deviation
-    best = head + float(np.min(penalized_tracking_objective(
+    best = float(np.min(penalized_tracking_objective(
         grid, np.array([4.0, 4.0]), constraints.lower_bounds, dev_floor,
         rho=1e3)))
-    assert sol.objective_value <= best + 1e-2
+    assert objective <= best + 1e-2
 
 
 def test_allocate_online_zero_penalty_is_projection():
@@ -101,63 +106,55 @@ def test_allocate_online_zero_penalty_is_projection():
     for _ in range(5):
         n = int(rng.integers(2, 5))
         requested = rng.integers(5, 30, n).astype(float)
-        state, constraints = identity_setup(
+        constraints = identity_setup(
             requested, capacity=float(requested.sum() * 0.7), rho=0.0)
-        fc = persistence(requested, 1)
-        sol = allocate_online(state, fc, constraints)
+        a = allocate_online(persistence(requested, 1), constraints)
         expect = project_capped_simplex(requested, np.zeros(n),
                                         constraints.capacity_b)
-        assert np.allclose(sol.allocation, expect, atol=1e-6)
+        assert np.allclose(a, expect, atol=1e-6)
 
 
 def test_allocate_online_input_validation():
-    state, constraints = identity_setup([5, 5], capacity=20.0)
+    constraints = identity_setup([5, 5], capacity=20.0)
     good = persistence([5, 5], 1)
     with pytest.raises(ValueError):
-        allocate_online(state, good[:, :1], constraints)
+        allocate_online(good[:, :1], constraints)
     with pytest.raises(ValueError):
-        allocate_online(state, good[:1], constraints)
+        allocate_online(good[:1], constraints)
     with pytest.raises(ValueError):
-        allocate_online(state, good * np.nan, constraints)
-    with pytest.raises(ValueError):
-        allocate_online(NetworkState.zeros(3), good, constraints)
+        allocate_online(good * np.nan, constraints)
 
 
 def test_allocate_event_single_step_equals_online():
-    state, constraints = identity_setup(
-        [9, 6], capacity=11.0, lower=[2, 2])
+    constraints = identity_setup([9, 6], capacity=11.0, lower=[2, 2])
     fc = persistence([9, 6], 1)
-    ev = allocate_event(state, fc, constraints, N_e=1)
-    on = allocate_online(state, fc, constraints)
-    assert np.array_equal(ev.allocation, on.allocation)
-    assert ev.objective_value == pytest.approx(on.objective_value, rel=1e-9)
+    assert np.array_equal(allocate_event(fc, constraints, N_e=1),
+                          allocate_online(fc, constraints))
 
 
 def test_allocate_event_tracks_window_mean():
-    state, constraints = identity_setup(
-        [4, 8], capacity=20.0, lower=[1, 1])
+    constraints = identity_setup([4, 8], capacity=20.0, lower=[1, 1])
     fc = np.array([[4.0, 8.0], [2.0, 4.0], [4.0, 8.0]])
-    sol = allocate_event(state, fc, constraints, N_e=2)
-    assert np.array_equal(sol.allocation, [3.0, 6.0])
+    a = allocate_event(fc, constraints, N_e=2)
+    assert np.array_equal(a, [3.0, 6.0])
     # honest cost at the mean: the two tracking stages do not vanish
-    expect = (16.0 + 64.0) + (1.0 + 4.0) + (1.0 + 4.0)
-    assert sol.objective_value == pytest.approx(expect)
+    expect = (1.0 + 4.0) + (1.0 + 4.0)
+    assert horizon_cost(a, fc, constraints, N_e=2) == pytest.approx(expect)
 
 
 def test_allocate_event_binding_instance_matches_grid():
-    state, constraints = identity_setup(
+    constraints = identity_setup(
         [6, 6], capacity=5.0, lower=[3, 3], max_deviation=2.0)
     fc = np.array([[6.0, 6.0], [4.0, 4.0], [6.0, 6.0]])
-    sol = allocate_event(state, fc, constraints, N_e=2)
+    a = allocate_event(fc, constraints, N_e=2)
     grid = grid_capped_simplex(2, 5.0, 0.01)
     track = (np.sum((grid - fc[1]) ** 2, axis=1)
              + np.sum((grid - fc[2]) ** 2, axis=1))
     low = np.sum(np.maximum(constraints.lower_bounds - grid, 0.0) ** 2, axis=1)
     dev_floor = constraints.requested - constraints.max_deviation
     dev = np.sum(np.maximum(dev_floor - grid, 0.0) ** 2, axis=1)
-    head = float(np.sum(fc[0] ** 2))
-    best = head + float(np.min(track + 1e3 * (low + dev)))
-    assert sol.objective_value <= best + 1e-2
+    best = float(np.min(track + 1e3 * (low + dev)))
+    assert horizon_cost(a, fc, constraints, N_e=2) <= best + 1e-2
 
 
 def test_all_policies_respect_hard_constraints():
@@ -166,13 +163,13 @@ def test_all_policies_respect_hard_constraints():
         n = int(rng.integers(2, 7))
         requested = rng.integers(1, 41, n).astype(float)
         capacity = float(max(requested.sum() * 0.6, 1.0))
-        state, constraints = identity_setup(requested, capacity)
+        constraints = identity_setup(requested, capacity)
         fc = persistence(requested, 3)
         allocations = [
             allocate_equal(n, capacity),
-            allocate_static(requested, constraints).allocation,
-            allocate_online(state, fc[:2], constraints).allocation,
-            allocate_event(state, fc, constraints, N_e=3).allocation,
+            allocate_static(requested, capacity),
+            allocate_online(fc[:2], constraints),
+            allocate_event(fc, constraints, N_e=3),
         ]
         for a in allocations:
             assert np.all(a >= -1e-12)
@@ -217,14 +214,3 @@ def test_should_trigger():
     assert not should_trigger(blown, 0)  # same tick as the event: never fire
     assert should_trigger([], 25)        # period cap fires regardless
 
-
-def test_allocation_solution_validation():
-    with pytest.raises(ValueError):
-        AllocationSolution(allocation=[-1.0], slack_gamma=[0.0],
-                           objective_value=0.0)
-    with pytest.raises(ValueError):
-        AllocationSolution(allocation=[1.0], slack_gamma=[-0.5],
-                           objective_value=0.0)
-    sol = AllocationSolution(allocation=[1.0], slack_gamma=[0.0, 0.0],
-                             objective_value=0.0)
-    assert not sol.allocation.flags.writeable
