@@ -79,8 +79,6 @@ def allocate_static(expected_r, capacity_b: float) -> np.ndarray:
 
 def _check_forecast(forecast, n: int, horizon: int) -> np.ndarray:
     fc = np.asarray(forecast, dtype=float)
-    if fc.ndim == 1:
-        fc = fc[None, :]
     if fc.ndim != 2 or fc.shape[1] != n:
         raise ValueError("forecast must be a (steps, n) array")
     if fc.shape[0] < horizon + 1:

@@ -2,9 +2,11 @@
 
 Each tick the twin receives a fresh quadratic tracking task: the plant
 floor's iteration requirement and a setpoint, both pre-drawn by the engine.
-It reports the requirement, executes however many descent iterations the
+It reports the requirement, takes however many descent iterations the
 network manager granted, and measures the performance gap versus the
-counterfactual run that got everything it asked for.
+counterfactual run that got everything it asked for. Gradient descent on the
+twin's 1-d quadratic contracts linearly, so both runs are evaluated in closed
+form, in O(1) whatever the grant.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, floor, isfinite
 from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +35,7 @@ DEFAULT_BOX_LOW = 0.0
 DEFAULT_BOX_HIGH = 10.0
 
 
-@dataclass(frozen=True)
-class PerformanceSample:
+class PerformanceSample(NamedTuple):
     """Measured suboptimality for one tick (lower is better)."""
 
     tick: int
@@ -150,12 +152,17 @@ def compute_requirement(twin: DigitalTwin) -> tuple[int, int]:
 
 
 def step_control(twin: DigitalTwin, granted: float) -> PerformanceSample:
-    """Run the granted iterations (at least one) and measure performance.
+    """Take the granted descent iterations (at least one); measure performance.
 
     The action is the final iterate itself (identity actuation map). The
-    baseline continues the same descent to the requested count from the same
-    start, so granting exactly k_prime makes achieved equal the baseline.
-    Both are f(x) - f(x*) with x* = target, so f(x*) = 0.
+    baseline runs the same descent to the requested count k' from the same
+    start, so granting exactly k' makes achieved equal the baseline. Both
+    are f(x) - f(x*) with x* = target, so f(x*) = 0.
+
+    With q = 1 - alpha * kappa in [0, 1) and x, target both in the box, each
+    step x - alpha * kappa * (x - c) is a convex combination of x and c, so
+    the box constraint never binds and k steps give c + q^k (x - c). Each
+    end is clamped to the box once, against rounding only.
     """
     if not isfinite(granted):
         raise ValueError("granted must be finite")
@@ -163,29 +170,20 @@ def step_control(twin: DigitalTwin, granted: float) -> PerformanceSample:
         raise ValueError("granted must be nonnegative")
     if twin._requirement is None:
         raise RuntimeError("no task assigned yet")
-    g = max(int(floor(granted + _FLOOR_GUARD)), 1)
-    k_prime = twin._requirement[0]
-
-    kappa = twin.curvature
-    ak = twin.step_alpha * kappa
+    g = floor(granted + _FLOOR_GUARD) or 1   # floor is >= 0: lifts 0 to 1
+    q = 1.0 - twin.step_alpha * twin.curvature
     c, lo, hi = twin._target, twin.box_low, twin.box_high
-    # ends = [x after min(g, k'), x after max(g, k')]: the shorter run goes
-    # first and the longer one continues from it
-    x = twin._action
-    ends = []
-    for steps in (min(g, k_prime), abs(g - k_prime)):
-        for _ in range(steps):
-            x = x - ak * (x - c)
-            if x < lo:
-                x = lo
-            elif x > hi:
-                x = hi
-        ends.append(x)
-    x_granted, x_requested = ends[g > k_prime], ends[g < k_prime]
+    d0 = twin._action - c
+    x_granted = c + q ** g * d0
+    x_requested = c + q ** twin._requirement[0] * d0
+    # conditional expressions, not min/max calls: this runs every twin-tick
+    x_granted = lo if x_granted < lo else hi if x_granted > hi else x_granted
+    x_requested = (lo if x_requested < lo else hi if x_requested > hi
+                   else x_requested)
     twin._action = x_granted
-    return PerformanceSample(
-        tick=twin._tick, achieved=0.5 * kappa * (x_granted - c) ** 2,
-        requested_baseline=0.5 * kappa * (x_requested - c) ** 2)
+    half_kappa = 0.5 * twin.curvature
+    return PerformanceSample(twin._tick, half_kappa * (x_granted - c) ** 2,
+                             half_kappa * (x_requested - c) ** 2)
 
 
 def update_regret(tracker: RegretTracker,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tests.oracles import step_control_reference
 from twinalloc import engine
 from twinalloc.core import ScenarioConfig, ScenarioValidationError, compute_residual
 from twinalloc.engine import (SimulationError, compare_policies,
@@ -11,6 +12,7 @@ from twinalloc.engine import (SimulationError, compare_policies,
                               save_scenario, scenario_from_dict,
                               scenario_to_dict, target_walk)
 from twinalloc.manager import PolicyKind
+from twinalloc.twin import PerformanceSample, compute_requirement
 
 
 class StepAlwaysHigh:
@@ -280,6 +282,47 @@ def test_solves_see_this_ticks_reports(monkeypatch, policy):
         assert np.array_equal(constraints.lower_bounds,
                               np.maximum(np.ceil(req - cfg.gap), 1))
         assert constraints.capacity_b == res.capacity_b
+
+
+def loop_step_control(twin, granted):
+    """engine.step_control run as the reference loop of clamped steps."""
+    action, achieved, baseline = step_control_reference(
+        twin.action, twin._target, compute_requirement(twin)[0], granted,
+        twin.box_low, twin.box_high, twin.curvature, twin.step_alpha)
+    twin._action = action
+    return PerformanceSample(tick=twin._tick, achieved=achieved,
+                             requested_baseline=baseline)
+
+
+# the closed-form descent rounds differently from the loop: 4.5e-13 at most
+# over the 120 runs below
+LOOP_REGRET_TOL = 1e-11
+
+
+@pytest.mark.parametrize("config", [
+    ScenarioConfig(),
+    ScenarioConfig(epsilon_per_step=0.05, n_resources=20, n_ticks=300),
+    ScenarioConfig(n_resources=300, n_ticks=60, stationary_prefix=3),
+], ids=["default", "eps0.05-n20-T300", "n300-T60-prefix3"])
+def test_engine_matches_loop_descent(monkeypatch, config):
+    # the whole tick loop with the closed-form descent against the same loop
+    # with the reference descent: rounding in regret must not move a trigger
+    loop = {}
+    with monkeypatch.context() as patch:
+        patch.setattr("twinalloc.engine.step_control", loop_step_control)
+        for seed in range(10):
+            loop[seed] = compare_policies(config, seed)
+    for seed, runs in loop.items():
+        for kind, got in compare_policies(config, seed).items():
+            want = runs[kind]
+            assert got.reallocation_ticks == want.reallocation_ticks
+            assert np.array_equal(got.allocation_series,
+                                  want.allocation_series)
+            assert np.array_equal(got.residual_inf_series,
+                                  want.residual_inf_series)
+            np.testing.assert_allclose(got.regret_series, want.regret_series,
+                                       rtol=0, atol=LOOP_REGRET_TOL,
+                                       err_msg=f"seed {seed} {kind.value}")
 
 
 def test_failures_carry_the_tick(monkeypatch):

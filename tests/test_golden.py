@@ -6,9 +6,18 @@ cumulative regret over the twins, and the reallocation ticks.
 
 ``golden_cases.json`` holds two off-default scenarios (an explicit regret
 budget over a long run; a wide short run with a short prefix). Per policy it
-keeps the same per-tick series, compared exactly for every policy, and a
-SHA-256 digest of every full (n_ticks, n) series, so a one-ulp drift in any
-twin's regret or allocation fails.
+keeps the same per-tick series and a SHA-256 digest of every full
+(n_ticks, n) series, so a one-ulp drift in any twin's allocation or
+requirement fails.
+
+Regret is compared at REGRET_TOL, not exactly: the fixtures were recorded
+with the twins' descent run as a loop of clamped steps, and the closed form
+that replaced it rounds differently in the last digits (2.9e-13 at most on
+both fixtures), so the regret digest is not compared. Everything else is
+compared as before: reallocation ticks, the allocation and requirement
+digests and every residual series exactly, except the default fixture's
+event and online residuals, which predate the exact allocation solve and
+keep SOLVED_TOL.
 
 Rewrite the fixtures with ``python -m tests.test_golden`` only when a change
 to the policies' outputs is intended.
@@ -38,6 +47,8 @@ CASES = {
 # a different but exact solve may round differently in the last digits
 SOLVED = (PolicyKind.EVENT_TRIGGERED, PolicyKind.ONLINE_DYNAMIC)
 SOLVED_TOL = 1e-9
+REGRET_KEYS = ("mean_regret", "max_regret")
+REGRET_TOL = 1e-11
 
 
 def _series(result) -> dict:
@@ -77,12 +88,15 @@ def test_policies_match_golden(seed):
     for kind, result in compare_policies(ScenarioConfig(), seed).items():
         want, got = golden[kind.value], _series(result)
         assert got["reallocation_ticks"] == want["reallocation_ticks"]
-        for key in ("residual_inf", "mean_regret", "max_regret"):
-            if kind in SOLVED:
-                np.testing.assert_allclose(got[key], want[key], rtol=0,
-                                           atol=SOLVED_TOL, err_msg=key)
-            else:
-                assert got[key] == want[key], key
+        if kind in SOLVED:
+            np.testing.assert_allclose(got["residual_inf"],
+                                       want["residual_inf"], rtol=0,
+                                       atol=SOLVED_TOL)
+        else:
+            assert got["residual_inf"] == want["residual_inf"]
+        for key in REGRET_KEYS:
+            np.testing.assert_allclose(got[key], want[key], rtol=0,
+                                       atol=REGRET_TOL, err_msg=key)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -91,8 +105,13 @@ def test_policies_match_golden_cases_exactly(name):
     config, seed = CASES[name]
     for kind, result in compare_policies(config, seed).items():
         want, got = golden[kind.value], _case_series(result)
-        for key in want:
-            assert got[key] == want[key], f"{kind.value}: {key}"
+        for key in want.keys() - {"regret_sha256"}:
+            if key in REGRET_KEYS:
+                np.testing.assert_allclose(got[key], want[key], rtol=0,
+                                           atol=REGRET_TOL,
+                                           err_msg=f"{kind.value}: {key}")
+            else:
+                assert got[key] == want[key], f"{kind.value}: {key}"
 
 
 if __name__ == "__main__":

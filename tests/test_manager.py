@@ -125,6 +125,18 @@ def test_allocate_online_input_validation():
         allocate_online(good * np.nan, constraints)
 
 
+def test_policies_reject_a_one_dimensional_forecast():
+    # a forecast is (steps, n) with row 0 the current report; a bare report
+    # vector is refused by its shape, not lifted to one row
+    constraints = identity_setup([5, 5], capacity=20.0)
+    flat = np.array([5.0, 5.0])
+    with pytest.raises(ValueError, match=r"\(steps, n\) array"):
+        allocate_online(flat, constraints)
+    for N_e in (1, 3):
+        with pytest.raises(ValueError, match=r"\(steps, n\) array"):
+            allocate_event(flat, constraints, N_e)
+
+
 def test_allocate_event_single_step_equals_online():
     constraints = identity_setup([9, 6], capacity=11.0, lower=[2, 2])
     fc = persistence([9, 6], 1)
