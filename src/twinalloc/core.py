@@ -181,6 +181,9 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
         diags.append("initial_requirement_range must satisfy min <= max")
     if r_lo < 1:
         diags.append("requirement_range minimum must be >= 1")
+    if r_hi + config.requirement_step_bound >= 2 ** 63:
+        diags.append("requirement_range maximum + requirement_step_bound "
+                     "must be < 2**63 (the walk's int64 limit)")
     if i_lo < r_lo or i_hi > r_hi:
         diags.append("initial_requirement_range must lie inside requirement_range")
     if config.gap < 0:

@@ -6,12 +6,15 @@ setpoint and reports the requirement, the active allocation policy runs on
 those reports (persistence forecasts repeat the report vector), every twin's
 controller steps with its grant, then metrics are recorded. All randomness
 comes from named substreams of one master seed, so the walks are identical
-across policies and independent of execution order.
+across policies and independent of execution order. Substream (seed,
+domain, i) is numpy's Generator(PCG64(SeedSequence((seed, domain, i)))).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -47,15 +50,62 @@ class SimulationError(RuntimeError):
         super().__init__(f"tick {tick}: {message}")
 
 
-def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((seed, domain, index))))
+# numpy's SeedSequence hash constants (NEP 19); its pool holds 4 words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+@functools.cache
+def _seed_words_class():
+    # defined on first use: naming np.random at import time would load it
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for 4 uint64 words
+    return SeedWords
+
+
+def _streams(seed: int, domain: int, count: int) -> list[np.random.Generator]:
+    """Generator(PCG64(SeedSequence((seed, domain, i)))) for i < count, with
+    the SeedSequence hash run once over all indices on uint32 arrays."""
+    if not (0 <= count <= 2 ** 32 and 0 <= seed < 2 ** 64):
+        raise ValueError("need 0 <= seed < 2**64 and 0 <= count <= 2**32 "
+                         "(each index is one 32-bit word)")
+    # entropy: the seed's one or two 32-bit words, the domain, the index
+    seed_words = [seed % 2 ** 32, seed >> 32] if seed >> 32 else [seed]
+    entropy = np.zeros((4, count), dtype=np.uint32)
+    entropy[:len(seed_words) + 1] = np.array(seed_words + [domain])[:, None]
+    entropy[len(seed_words) + 1] = np.arange(count)
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult % 2 ** 32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy]
+    for src, dst in itertools.permutations(range(4), 2):
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+        pool[dst] = mixed ^ (mixed >> 16)
+    hash_const = _INIT_B  # generate_state(4, np.uint64) reads 8 pool words
+    state = np.array([hashmix(pool[j % 4], _MULT_B) for j in range(8)],
+                     dtype=np.uint64)
+    # each uint64 word is a little-endian pair of uint32 words; PCG64 reads
+    # a row's buffer directly, so the rows must be contiguous
+    words = np.ascontiguousarray((state[1::2] << 32 | state[0::2]).T)
+    return [np.random.Generator(np.random.PCG64(_seed_words_class()(row)))
+            for row in words]
 
 
 def draw_initial_requirements(config: ScenarioConfig, seed: int) -> np.ndarray:
     """Integer starting requirements from the scenario's own substream."""
     lo, hi = config.initial_requirement_range
-    rng = _stream(seed, _DOMAIN_SCENARIO, 0)
+    rng, = _streams(seed, _DOMAIN_SCENARIO, 1)
     return rng.integers(lo, hi, endpoint=True, size=config.n_resources)
 
 
@@ -92,9 +142,9 @@ def requirement_walk(config: ScenarioConfig, seed: int) -> np.ndarray:
     lo, hi = config.requirement_range
     first = min(max(config.stationary_prefix, 1), n_ticks)  # first step tick
     steps = np.zeros((n_ticks, n), dtype=np.int64)
-    for i in range(n):
-        steps[first:, i] = _stream(seed, _DOMAIN_RESOURCE_WALK, i).integers(
-            -d, d, endpoint=True, size=n_ticks - first)
+    for i, rng in enumerate(_streams(seed, _DOMAIN_RESOURCE_WALK, n)):
+        steps[first:, i] = rng.integers(-d, d, endpoint=True,
+                                        size=n_ticks - first)
     walk = np.empty((n_ticks, n), dtype=np.int64)
     walk[0] = draw_initial_requirements(config, seed)
     for t in range(1, n_ticks):
@@ -109,9 +159,10 @@ def target_walk(config: ScenarioConfig, seed: int) -> np.ndarray:
     the same values as one scalar draw per tick.
     """
     targets = np.empty((config.n_ticks, config.n_resources))
-    for i in range(config.n_resources):
-        targets[:, i] = _stream(seed, _DOMAIN_TWIN_TARGETS, i).uniform(
-            DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH, size=config.n_ticks)
+    for i, rng in enumerate(
+            _streams(seed, _DOMAIN_TWIN_TARGETS, config.n_resources)):
+        targets[:, i] = rng.uniform(DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH,
+                                    size=config.n_ticks)
     return targets
 
 
@@ -144,15 +195,20 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
     receding-horizon problem every tick.
     """
     validate_scenario(config)
-    policy = PolicyKind(policy)
+    return _simulate(config, PolicyKind(policy), seed,
+                     requirement_walk(config, seed), target_walk(config, seed))
+
+
+def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
+              requirement_series: np.ndarray,
+              targets: np.ndarray) -> SimResult:
+    """run_scenario's tick loop on the (config, seed) walks, read only."""
     n = config.n_resources
     n_ticks = config.n_ticks
 
     twins = [DigitalTwin(i, requirement_gap=config.gap,
                          epsilon_per_step=config.epsilon_per_step)
              for i in range(n)]
-    requirement_series = requirement_walk(config, seed)
-    targets = target_walk(config, seed)
     capacity = (float(config.capacity_b) if config.capacity_b is not None
                 else float(requirement_series[0].sum()))
 
@@ -241,10 +297,12 @@ def compare_policies(config: ScenarioConfig,
                      seed: int) -> dict[PolicyKind, SimResult]:
     """Run all four policies on identical requirement trajectories.
 
-    Per-policy runs are fully independent (separate twins, separate RNG
-    streams rebuilt from the same seed).
+    Both walks are drawn once and shared, read-only; each policy runs on
+    its own twins, so the results equal four run_scenario calls.
     """
-    return {kind: run_scenario(config, kind, seed) for kind in PolicyKind}
+    validate_scenario(config)
+    walks = requirement_walk(config, seed), target_walk(config, seed)
+    return {kind: _simulate(config, kind, seed, *walks) for kind in PolicyKind}
 
 
 # -- scenario files ---------------------------------------------------------

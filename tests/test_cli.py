@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twinalloc
 from twinalloc.cli import main
 from twinalloc.core import ScenarioConfig
 from twinalloc.engine import run_scenario, save_scenario
@@ -183,6 +187,9 @@ def test_missing_scenario_exits_io_without_outputs(tmp_path, capsys):
     '{"master_seed": 18446744073709551616}',
     '{"n_ticks": NaN}',
     '{"n_resources": Infinity}',
+    '{"requirement_step_bound": 9223372036854775808}',
+    '{"initial_requirement_range": [2, 9223372036854775808], '
+    '"requirement_range": [1, 9223372036854775808]}',
 ])
 def test_invalid_scenario_exits_config(tmp_path, capsys, payload):
     scenario = tmp_path / "scenario.json"
@@ -192,6 +199,21 @@ def test_invalid_scenario_exits_config(tmp_path, capsys, payload):
     assert code == 1
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_import_and_load_leave_numpy_random_unloaded(cli_env):
+    # importing numpy.random costs about 16 ms, paid only once a walk is drawn
+    _, scenario, _ = cli_env
+    src = str(Path(twinalloc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, twinalloc.cli as cli; "
+            f"cli.load_scenario({str(scenario)!r}); "
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_policy_rejected_by_parser(cli_env):

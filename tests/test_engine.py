@@ -106,30 +106,34 @@ def test_block_walk_matches_scalar_draws(d, prefix):
     cfg = ScenarioConfig(n_resources=7, n_ticks=120, stationary_prefix=prefix,
                          requirement_step_bound=d, requirement_range=(1, 8),
                          initial_requirement_range=(2, 7))
-    seed = 11
-    walk = requirement_walk(cfg, seed)
-    assert walk.dtype == np.int64 and walk.shape == (120, 7)
+    for seed in (11, 2**32 + 5, 2**64 - 1):   # one- and two-word seeds
+        walk = requirement_walk(cfg, seed)
+        assert walk.dtype == np.int64 and walk.shape == (120, 7)
 
-    streams = [RecordingStream(seed, i) for i in range(7)]
-    cur = draw_initial_requirements(cfg, seed)
-    scalar, raw = [cur], []
-    for t in range(1, cfg.n_ticks):
-        before = sum(len(s.draws) for s in streams)
-        nxt = evolve_requirements(cur, t, cfg, streams)
-        if sum(len(s.draws) for s in streams) > before:
-            raw.append(cur + np.array([s.draws[-1] for s in streams]))
-        cur = nxt
-        scalar.append(cur)
-    np.testing.assert_array_equal(walk, np.array(scalar))
+        streams = [RecordingStream(seed, i) for i in range(7)]
+        cur = draw_initial_requirements(cfg, seed)
+        initial = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((seed, 2, 0)))).integers(
+                2, 7, endpoint=True, size=7)
+        np.testing.assert_array_equal(cur, initial)
+        scalar, raw = [cur], []
+        for t in range(1, cfg.n_ticks):
+            before = sum(len(s.draws) for s in streams)
+            nxt = evolve_requirements(cur, t, cfg, streams)
+            if sum(len(s.draws) for s in streams) > before:
+                raw.append(cur + np.array([s.draws[-1] for s in streams]))
+            cur = nxt
+            scalar.append(cur)
+        np.testing.assert_array_equal(walk, np.array(scalar))
 
-    assert (walk[:prefix] == walk[0]).all()
-    assert len(raw) == cfg.n_ticks - max(prefix, 1)
-    if d:
-        raw = np.array(raw)
-        assert (raw < 1).any() and (raw > 8).any()   # both clamps fire
+        assert (walk[:prefix] == walk[0]).all()
+        assert len(raw) == cfg.n_ticks - max(prefix, 1)
+        if d:
+            raw = np.array(raw)
+            assert (raw < 1).any() and (raw > 8).any()   # both clamps fire
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**31 + 5])
+@pytest.mark.parametrize("seed", [0, 7, 2**31 + 5, 2**32 + 5, 2**64 - 1])
 def test_target_walk_matches_scalar_draws(seed):
     # one scalar uniform draw per tick on twin i's substream (seed, 1, i)
     for n in (1, 20):
@@ -143,6 +147,23 @@ def test_target_walk_matches_scalar_draws(seed):
                     np.random.SeedSequence((seed, 1, i))))
                 scalar = [rng.uniform(0.0, 10.0) for _ in range(n_ticks)]
                 assert targets[:, i].tolist() == scalar
+
+
+@pytest.mark.parametrize("count", [1, 257])
+@pytest.mark.parametrize("domain", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1,
+                                  0x9E3779B97F4A7C15])   # last: arbitrary
+def test_streams_match_per_index_seed_sequence(seed, domain, count):
+    streams = engine._streams(seed, domain, count)
+    assert len(streams) == count
+    for i, rng in enumerate(streams):
+        ref = np.random.PCG64(np.random.SeedSequence((seed, domain, i)))
+        assert rng.bit_generator.state == ref.state
+
+
+def test_streams_refuse_indices_beyond_one_word():
+    with pytest.raises(ValueError):
+        engine._streams(0, 0, 2**32 + 1)
 
 
 # ---------------------------------------------------------------- hand traces
@@ -188,14 +209,19 @@ def small_runs():
 
 
 def test_rerun_is_bit_identical(small_runs):
+    # compare_policies shares one drawn walk; each run_scenario draws its own
     cfg, results = small_runs
-    again = run_scenario(cfg, PolicyKind.ONLINE_DYNAMIC, 3)
-    ref = results[PolicyKind.ONLINE_DYNAMIC]
-    assert np.array_equal(again.residual_inf_series, ref.residual_inf_series)
-    assert np.array_equal(again.allocation_series, ref.allocation_series)
-    assert np.array_equal(again.regret_series, ref.regret_series)
-    assert again.reallocation_ticks == ref.reallocation_ticks
-    assert again.mean_residual_after_prefix == ref.mean_residual_after_prefix
+    for kind, ref in results.items():
+        again = run_scenario(cfg, kind, 3)
+        assert np.array_equal(again.requirement_series,
+                              ref.requirement_series)
+        assert np.array_equal(again.residual_inf_series,
+                              ref.residual_inf_series)
+        assert np.array_equal(again.allocation_series, ref.allocation_series)
+        assert np.array_equal(again.regret_series, ref.regret_series)
+        assert again.reallocation_ticks == ref.reallocation_ticks
+        assert (again.mean_residual_after_prefix
+                == ref.mean_residual_after_prefix)
 
 
 def test_requirement_trajectory_is_policy_independent(small_runs):
