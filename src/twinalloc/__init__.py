@@ -26,24 +26,25 @@ from .report import (build_manifest, config_digest, render_comparison_svg,
 from .solver import (BoxSet, PGAConfig, PGAResult, SmoothConvexProblem,
                      SolverError, iterations_for_delta, pga_solve,
                      project_capped_simplex)
-from .twin import (DigitalTwin, PerformanceSample, RegretTracker,
-                   check_satisfaction, compute_requirement,
-                   forecast_requirements, step_control, update_regret)
+from .twin import (DigitalTwin, PerformanceSample, check_satisfaction,
+                   compute_requirement, forecast_requirements, regret_budgets,
+                   step_control, update_regret)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllocationConstraints", "BoxSet", "DEFAULT_MAX_DEVIATION",
     "DEFAULT_SLACK_PENALTY", "DigitalTwin", "DimensionMismatch",
-    "EventHistory", "InfeasibleSetError", "PGAConfig", "PGAResult", "PerformanceSample", "PolicyKind",
-    "RegretTracker", "ScenarioConfig", "ScenarioValidationError", "SimResult",
-    "SimulationError", "SmoothConvexProblem", "SolverError",
+    "EventHistory", "InfeasibleSetError", "PGAConfig", "PGAResult",
+    "PerformanceSample", "PolicyKind", "ScenarioConfig",
+    "ScenarioValidationError", "SimResult", "SimulationError",
+    "SmoothConvexProblem", "SolverError",
     "allocate_equal", "allocate_event", "allocate_online", "allocate_static",
     "build_manifest", "check_satisfaction", "compare_policies",
     "compute_requirement", "compute_residual", "config_digest",
     "draw_initial_requirements", "estimate_event_horizon",
     "evolve_requirements", "forecast_requirements", "iterations_for_delta",
-    "load_scenario", "pga_solve", "project_capped_simplex",
+    "load_scenario", "pga_solve", "project_capped_simplex", "regret_budgets",
     "render_comparison_svg", "render_metrics_csv", "requirement_walk",
     "run_scenario", "save_scenario", "scenario_from_dict", "scenario_to_dict",
     "should_trigger", "step_control", "summarize", "target_walk",

@@ -1,13 +1,14 @@
 """Deterministic tick-loop orchestration of twins and the network manager.
 
 The plant-floor requirement walk and the twins' setpoint walks are drawn
-for the whole run up front. Per tick: every twin takes its requirement and
-setpoint and reports the requirement, the active allocation policy runs on
-those reports (persistence forecasts repeat the report vector), every twin's
-controller steps with its grant, then metrics are recorded. All randomness
-comes from named substreams of one master seed, so the walks are identical
-across policies and independent of execution order. Substream (seed,
-domain, i) is numpy's Generator(PCG64(SeedSequence((seed, domain, i)))).
+for the whole run up front; every twin's regret and budget are arrays. Per
+tick: every twin takes its requirement and setpoint, the active allocation
+policy runs on the reports k' (the walk row; persistence forecasts repeat
+it), every twin's controller steps with its grant, the regret array takes
+the tick's increments, then metrics are recorded. All randomness comes from
+named substreams of one master seed, so the walks are identical across
+policies and independent of execution order. Substream (seed, domain, i) is
+numpy's Generator(PCG64(SeedSequence((seed, domain, i)))).
 """
 
 from __future__ import annotations
@@ -30,11 +31,8 @@ from .manager import (EventHistory, PolicyKind, allocate_equal,
                       allocate_event, allocate_online, allocate_static,
                       estimate_event_horizon, should_trigger)
 from .twin import (DEFAULT_BOX_HIGH, DEFAULT_BOX_LOW, DigitalTwin,
-                   compute_requirement, step_control, update_regret)
-# Not called here. Kept bound in this module, like the one-tick scalar walk
-# evolve_requirements, because the benchmark's tracer (perfbench/tracer.py)
-# wraps both names here and its tests require every wrapped name to exist.
-from .twin import forecast_requirements  # noqa: F401
+                   compute_requirement, forecast_requirements, regret_budgets,
+                   step_control, update_regret)
 
 # substream domains under the master seed
 _DOMAIN_RESOURCE_WALK = 0
@@ -191,8 +189,8 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
 
     Equal and Static allocate once at tick 0 and hold. EventTriggered starts
     from the static solve and re-solves only when the regret trigger fires,
-    resetting every tracker at that tick. OnlineDynamic re-solves the
-    receding-horizon problem every tick.
+    resetting every twin's regret to zero at that tick. OnlineDynamic
+    re-solves the receding-horizon problem every tick.
     """
     validate_scenario(config)
     return _simulate(config, PolicyKind(policy), seed,
@@ -206,18 +204,18 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
     n = config.n_resources
     n_ticks = config.n_ticks
 
-    twins = [DigitalTwin(i, requirement_gap=config.gap,
-                         epsilon_per_step=config.epsilon_per_step)
-             for i in range(n)]
+    twins = [DigitalTwin(i) for i in range(n)]
+    # a Python int sum is exact where an int64 sum could wrap
     capacity = (float(config.capacity_b) if config.capacity_b is not None
-                else float(requirement_series[0].sum()))
+                else float(sum(requirement_series[0].tolist())))
+    epsilon = regret_budgets(requirement_series[0], config.epsilon_per_step)
+    regret = np.zeros(n)      # per twin, since the last reallocation event
 
     residual_series = np.empty(n_ticks)
     regret_series = np.empty((n_ticks, n))
     allocation_series = np.empty((n_ticks, n))
     realloc_ticks: list[int] = []
 
-    trackers = None
     history = EventHistory()
     held_alloc = None         # current fixed allocation (equal/static/event)
     tau_last = 0              # tick of the last reallocation event
@@ -232,12 +230,9 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
         try:
             for twin, req, target in zip(twins, requirement_series[t].tolist(),
                                          targets[t].tolist()):
-                twin.assign_task(t, req, target)
-            reports = [compute_requirement(tw) for tw in twins]
-            k_prime = np.array([kp for kp, _ in reports], dtype=float)
-            k_lower = np.array([kl for _, kl in reports], dtype=float)
-            if trackers is None:
-                trackers = [tw.make_tracker(0) for tw in twins]
+                twin.assign_task(req, target)
+            k_prime, k_lower = compute_requirement(requirement_series[t],
+                                                   config.gap)
 
             if policy is PolicyKind.EQUAL:
                 if held_alloc is None:
@@ -250,29 +245,28 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
             elif policy is PolicyKind.EVENT_TRIGGERED:
                 if held_alloc is None:
                     held_alloc = allocate_static(k_prime, capacity)
-                elif should_trigger(trackers, t - tau_last,
+                elif should_trigger(regret, epsilon, t - tau_last,
                                     history.max_reallocation_period):
                     horizon = estimate_event_horizon(history)
-                    forecast = np.tile(k_prime, (horizon + 1, 1))
-                    held_alloc = allocate_event(forecast, constraints(),
-                                                horizon)
+                    held_alloc = allocate_event(
+                        forecast_requirements(k_prime, horizon),
+                        constraints(), horizon)
                     history.record(t)
                     realloc_ticks.append(t)
                     tau_last = t
-                    for tracker in trackers:
-                        tracker.reset(t)
+                    regret[:] = 0.0
                 alloc = held_alloc
             else:
-                forecast = np.tile(k_prime, (2, 1))
-                alloc = allocate_online(forecast, constraints())
+                alloc = allocate_online(forecast_requirements(k_prime, 1),
+                                        constraints())
                 if t >= 1:
                     realloc_ticks.append(t)
 
-            for twin, tracker, grant in zip(twins, trackers, alloc.tolist()):
-                update_regret(tracker, step_control(twin, grant))
+            update_regret(regret, [step_control(twin, grant) for twin, grant
+                                   in zip(twins, alloc.tolist())])
 
             residual_series[t] = compute_residual(k_prime, alloc)[1]
-            regret_series[t] = [tr.cumulative_regret_R for tr in trackers]
+            regret_series[t] = regret
             allocation_series[t] = alloc
         except SimulationError:
             raise

@@ -141,7 +141,7 @@ def estimate_event_horizon(history: EventHistory) -> int:
     return max(int(floor(total / m)), 1)
 
 
-def should_trigger(trackers, ticks_since_event: int,
+def should_trigger(regret, epsilon, ticks_since_event: int,
                    max_reallocation_period: int = DEFAULT_MAX_REALLOCATION_PERIOD
                    ) -> bool:
     """Reallocate when any twin's regret budget is blown or on the period cap."""
@@ -149,5 +149,4 @@ def should_trigger(trackers, ticks_since_event: int,
         return True
     if ticks_since_event < 1:
         return False
-    T = ticks_since_event - 1
-    return any(not check_satisfaction(tr, T) for tr in trackers)
+    return not check_satisfaction(regret, epsilon, ticks_since_event - 1)

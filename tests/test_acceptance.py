@@ -22,7 +22,7 @@ from twinalloc.manager import (PolicyKind, allocate_event, allocate_online,
                                allocate_static)
 from twinalloc.solver import (BoxSet, PGAConfig, SmoothConvexProblem,
                               pga_solve, project_capped_simplex)
-from twinalloc.twin import (DigitalTwin, PerformanceSample, RegretTracker,
+from twinalloc.twin import (DigitalTwin, PerformanceSample,
                             compute_requirement, step_control, update_regret)
 
 N_SEEDS = 10
@@ -202,28 +202,25 @@ def test_criterion_6_zero_regret_on_full_grant():
             rng = np.random.default_rng(seed)
             twins = [DigitalTwin(i) for i in range(5)]
             targets = [np.random.default_rng((seed, i)) for i in range(5)]
-            trackers = None
+            regret = np.zeros(len(twins))
             for tick in range(50):
                 reqs = rng.integers(1, 45, len(twins))
                 for twin, req, target in zip(twins, reqs, targets):
-                    twin.assign_task(tick, int(req), target.uniform(0.0, 10.0))
-                if trackers is None:
-                    trackers = [tw.make_tracker(0) for tw in twins]
-                for twin, tracker in zip(twins, trackers):
-                    k_prime, _ = compute_requirement(twin)
-                    out = step_control(twin, float(k_prime))
-                    update_regret(tracker, out)
-                    assert abs(tracker.cumulative_regret_R) <= 1e-9
+                    twin.assign_task(int(req), target.uniform(0.0, 10.0))
+                k_prime, _ = compute_requirement(reqs, 10.0)
+                update_regret(regret, [step_control(twin, grant) for twin, grant
+                                       in zip(twins, k_prime.tolist())])
+                assert np.all(np.abs(regret) <= 1e-9)
 
         rng = np.random.default_rng(8)
-        tracker = RegretTracker(threshold_epsilon_per_step=1.0)
+        regret = np.zeros(1)
         total = 0.0
         for t in range(300):
             achieved = float(rng.uniform(0, 3))
             baseline = float(rng.uniform(0, 3))
-            update_regret(tracker, PerformanceSample(t, achieved, baseline))
+            update_regret(regret, [PerformanceSample(achieved, baseline)])
             total += achieved - baseline
-            assert abs(tracker.cumulative_regret_R - total) <= 1e-12
+            assert abs(regret[0] - total) <= 1e-12
         passed = True
     finally:
         record_criterion(6, desc, passed)

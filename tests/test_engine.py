@@ -1,10 +1,13 @@
 """Simulation loop, determinism and scenario-file tests."""
 
+import json
+
 import numpy as np
 import pytest
 
 from tests.oracles import step_control_reference
 from twinalloc import engine
+from twinalloc.cli import main
 from twinalloc.core import ScenarioConfig, ScenarioValidationError, compute_residual
 from twinalloc.engine import (SimulationError, compare_policies,
                               draw_initial_requirements, evolve_requirements,
@@ -12,7 +15,7 @@ from twinalloc.engine import (SimulationError, compare_policies,
                               save_scenario, scenario_from_dict,
                               scenario_to_dict, target_walk)
 from twinalloc.manager import PolicyKind
-from twinalloc.twin import PerformanceSample, compute_requirement
+from twinalloc.twin import PerformanceSample
 
 
 class StepAlwaysHigh:
@@ -200,6 +203,25 @@ def test_trace_with_shortfall_splits_capacity():
     assert results[PolicyKind.ONLINE_DYNAMIC].reallocation_ticks == (1, 2)
 
 
+def test_default_capacity_is_the_exact_requirement_sum(tmp_path):
+    # three first requirements near 2**63 sum past the int64 range; the
+    # default capacity is their exact integer sum, rounded once to float
+    data = {"initial_requirement_range": [9223372036854775000,
+                                          9223372036854775806],
+            "requirement_range": [1, 9223372036854775806], "n_resources": 3,
+            "n_ticks": 5, "stationary_prefix": 1}
+    cfg = scenario_from_dict(data)
+    for seed in (0, 5):
+        exact = float(sum(draw_initial_requirements(cfg, seed).tolist()))
+        assert exact > 2.0 ** 64
+        for res in compare_policies(cfg, seed).values():
+            assert res.capacity_b == exact
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["compare", "--scenario", str(path), "--seed", "0",
+                 "--out", str(tmp_path / "out")]) == 0
+
+
 # ------------------------------------------------------------------ tick loop
 
 @pytest.fixture(scope="module")
@@ -313,11 +335,10 @@ def test_solves_see_this_ticks_reports(monkeypatch, policy):
 def loop_step_control(twin, granted):
     """engine.step_control run as the reference loop of clamped steps."""
     action, achieved, baseline = step_control_reference(
-        twin.action, twin._target, compute_requirement(twin)[0], granted,
+        twin.action, twin._target, twin._k_prime, granted,
         twin.box_low, twin.box_high, twin.curvature, twin.step_alpha)
     twin._action = action
-    return PerformanceSample(tick=twin._tick, achieved=achieved,
-                             requested_baseline=baseline)
+    return PerformanceSample(achieved=achieved, requested_baseline=baseline)
 
 
 # the closed-form descent rounds differently from the loop: 4.5e-13 at most

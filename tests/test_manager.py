@@ -10,7 +10,6 @@ from twinalloc.manager import (EventHistory, PolicyKind,
                                allocate_static, estimate_event_horizon,
                                should_trigger)
 from twinalloc.solver import project_capped_simplex
-from twinalloc.twin import RegretTracker
 
 
 def identity_setup(requested, capacity, lower=None, max_deviation=10.0,
@@ -215,14 +214,13 @@ def test_event_history_validation():
 
 
 def test_should_trigger():
-    calm = [RegretTracker(threshold_epsilon_per_step=1.0)]
-    calm[0].cumulative_regret_R = 0.5
-    assert not should_trigger(calm, 3)
+    eps = np.array([1.0, 1.0])
+    assert not should_trigger(np.array([0.5, -0.5]), eps, 3)
 
-    blown = [RegretTracker(threshold_epsilon_per_step=1.0)]
-    blown[0].cumulative_regret_R = 10.0
-    assert should_trigger(blown, 3)
-    assert should_trigger(blown, 1)      # T=0 budget is one epsilon
-    assert not should_trigger(blown, 0)  # same tick as the event: never fire
-    assert should_trigger([], 25)        # period cap fires regardless
+    blown = np.array([0.5, 10.0])        # one twin over budget fires
+    assert should_trigger(blown, eps, 3)
+    assert should_trigger(blown, eps, 1)      # T=0 budget is one epsilon
+    assert not should_trigger(blown, eps, 0)  # same tick as the event: never
+    assert should_trigger(np.zeros(0), np.zeros(0), 25)  # period cap fires
+    assert not should_trigger(np.array([3.0]), np.array([1.0]), 3)  # boundary
 

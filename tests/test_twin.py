@@ -1,5 +1,7 @@
 """Digital twin requirement, control and regret tests."""
 
+from math import ceil
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ from tests.oracles import step_control_reference
 from twinalloc.solver import (BoxSet, PGAConfig, SmoothConvexProblem,
                               iterations_for_delta, pga_solve)
 from twinalloc.twin import (DEFAULT_EPSILON_FACTOR, DigitalTwin,
-                            PerformanceSample, RegretTracker,
-                            check_satisfaction, compute_requirement,
-                            forecast_requirements, step_control, update_regret)
+                            PerformanceSample, check_satisfaction,
+                            compute_requirement, forecast_requirements,
+                            regret_budgets, step_control, update_regret)
 
 # closed form against the clamped loop: 1.4e-14 at most over 72k random cases
 STEP_TOL = 1e-12
@@ -21,8 +23,6 @@ def make_twin(**kwargs):
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        DigitalTwin(0, requirement_gap=-1.0)
-    with pytest.raises(ValueError):
         DigitalTwin(0, box_low=5.0, box_high=5.0)
     with pytest.raises(ValueError):
         DigitalTwin(0, curvature=0.0)
@@ -31,30 +31,46 @@ def test_constructor_validation():
 
 
 def test_requirement_from_tolerance():
-    twin = DigitalTwin(0, requirement_gap=10.0, step_alpha=0.1, box_low=0.0,
-                       box_high=2.0)
-    twin.assign_task(0, 20, 1.0)
-    assert compute_requirement(twin) == (20, 10)
+    k_prime, k_lower = compute_requirement(np.array([20, 25]), 10.0)
+    assert k_prime.tolist() == [20.0, 25.0]
+    assert k_lower.tolist() == [10.0, 15.0]
 
 
 def test_requirement_floor_at_one():
-    twin = make_twin()
-    twin.assign_task(0, 8, 5.0)
-    k_prime, k_lower = compute_requirement(twin)
-    assert k_prime == 8
-    assert k_lower == 1
+    k_prime, k_lower = compute_requirement(np.array([8, 1, 11]), 10.0)
+    assert k_prime.tolist() == [8.0, 1.0, 11.0]
+    assert k_lower.tolist() == [1.0, 1.0, 1.0]
+
+
+def test_requirement_floor_matches_scalar_expression():
+    # the array floor against the per-twin expression it replaced
+    ks = np.arange(1, 10_001)
+    for gap in (0.0, 0.5, 4.0, 10.0, 10.5, 1e4):
+        k_prime, k_lower = compute_requirement(ks, gap)
+        assert k_prime.tolist() == ks.tolist()
+        assert k_lower.tolist() == [max(int(ceil(k - gap)), 1)
+                                    for k in ks.tolist()]
+
+
+def test_regret_budgets_match_scalar_expression():
+    # the default budget against the per-twin expression it replaced:
+    # 0.1 x the first task's solve tolerance D^2 / (2 alpha k')
+    ks = np.arange(1, 10_001)
+    want = [DEFAULT_EPSILON_FACTOR * (10.0 * 10.0 / (2.0 * 0.2 * k))
+            for k in ks.tolist()]
+    assert regret_budgets(ks, None).tolist() == want
 
 
 def test_requirement_bridge_is_exact():
     # k' = required_iterations is what the descent certificate returns for
     # the matching tolerance D^2 / (2 alpha k')
+    ks = np.arange(1, 10_001)
+    assert compute_requirement(ks, 10.0)[0].tolist() == ks.tolist()
     for twin in (make_twin(),
                  DigitalTwin(0, step_alpha=0.3, box_low=-0.7, box_high=2.9)):
         diam = twin.diameter
-        for k in range(1, 10_001):
-            twin.assign_task(k, k, twin.box_low)
+        for k in ks.tolist():
             delta = diam * diam / (2.0 * twin.step_alpha * k)
-            assert compute_requirement(twin)[0] == k
             assert iterations_for_delta(diam, twin.step_alpha, delta) == k
 
 
@@ -67,15 +83,15 @@ def test_box_diameter_matches_box_set():
 def test_no_task_yet_raises():
     twin = make_twin()
     with pytest.raises(RuntimeError):
-        compute_requirement(twin)
-    with pytest.raises(RuntimeError):
         step_control(twin, 5)
     with pytest.raises(ValueError):
-        twin.assign_task(0, 0, 5.0)
-    with pytest.raises(TypeError):      # k' drives range(); no silent rounding
-        twin.assign_task(0, 5.5, 5.0)
-    twin.assign_task(0, np.int64(5), 5.0)
-    assert compute_requirement(twin) == (5, 1)
+        twin.assign_task(0, 5.0)
+    with pytest.raises(TypeError):      # k' is a count; no silent rounding
+        twin.assign_task(5.5, 5.0)
+    with pytest.raises(RuntimeError):   # a rejected task is not kept
+        step_control(twin, 5)
+    twin.assign_task(np.int64(5), 5.0)
+    assert twin._k_prime == 5 and type(twin._k_prime) is int
 
 
 def test_assign_task_rejects_target_outside_box():
@@ -85,11 +101,11 @@ def test_assign_task_rejects_target_outside_box():
         for bad in (float("nan"), float("inf"), -float("inf"),
                     np.nextafter(low, -np.inf), np.nextafter(high, np.inf)):
             with pytest.raises(ValueError):
-                twin.assign_task(0, 5, bad)
+                twin.assign_task(5, bad)
         with pytest.raises(RuntimeError):   # a rejected task is not kept
             step_control(twin, 5)
         for edge in (low, high):
-            twin.assign_task(0, 5, edge)
+            twin.assign_task(5, edge)
             assert step_control(twin, 5).regret_increment == 0.0
 
 
@@ -97,7 +113,7 @@ def test_single_step_reaches_setpoint():
     # curvature 1 with alpha = 1/L lands on an interior setpoint in one step
     twin = DigitalTwin(0, step_alpha=1.0)
     twin._action = 0.0
-    twin.assign_task(0, 1, 3.0)
+    twin.assign_task(1, 3.0)
     out = step_control(twin, 1)
     want = step_control_reference(0.0, 3.0, 1, 1, alpha=1.0)
     assert (twin.action, out.achieved, out.requested_baseline) == want
@@ -112,9 +128,9 @@ def test_full_grant_meets_baseline_exactly():
         twin, exact = make_twin(), make_twin()
         targets = np.random.default_rng(123).uniform(0.0, 10.0, 12)
         for tick in range(12):
+            k_prime = int(5 + 3 * (tick % 4))
             for tw in (twin, exact):
-                tw.assign_task(tick, int(5 + 3 * (tick % 4)), targets[tick])
-            k_prime, _ = compute_requirement(twin)
+                tw.assign_task(k_prime, targets[tick])
             out = step_control(twin, k_prime - shortfall)
             assert out == step_control(exact, k_prime)
             assert twin.action == exact.action
@@ -124,14 +140,14 @@ def test_full_grant_meets_baseline_exactly():
 
 def test_over_grant_beats_baseline():
     twin = make_twin()
-    twin.assign_task(0, 5, 9.0)
+    twin.assign_task(5, 9.0)
     out = step_control(twin, 9)
     assert out.regret_increment < 0.0
 
 
 def test_under_grant_trails_baseline():
     twin = make_twin()
-    twin.assign_task(0, 9, 9.0)
+    twin.assign_task(9, 9.0)
     out = step_control(twin, 3)
     want = step_control_reference(5.0, 9.0, 9, 3)
     assert (twin.action, out.achieved, out.requested_baseline) == want
@@ -143,7 +159,7 @@ def test_grant_is_floored_and_validated():
     for grant, whole in ((0.5, 1), (7.9, 7)):
         twin, floored, ceiled = make_twin(), make_twin(), make_twin()
         for tw in (twin, floored, ceiled):
-            tw.assign_task(0, 6, 2.5)
+            tw.assign_task(6, 2.5)
         sample = step_control(twin, grant)
         assert sample == step_control(floored, whole)
         assert sample != step_control(ceiled, whole + 1)
@@ -180,12 +196,11 @@ def test_step_control_matches_single_loop_reference():
                           float(rng.uniform(0, 60))):
                 twin = DigitalTwin(0, **kwargs)
                 twin._action = x0
-                twin.assign_task(case, k_prime, c)
+                twin.assign_task(k_prime, c)
                 out = step_control(twin, grant)
                 want = step_control_reference(x0, c, k_prime, grant, lo, hi,
                                               kappa, alpha)
                 _assert_matches_reference(twin, out, want)
-                assert out.tick == case
                 side = np.sign(max(int(np.floor(grant + 1e-9)), 1) - k_prime)
                 if side == 0:   # criterion 6 needs zero regret, not small
                     assert out.achieved == out.requested_baseline
@@ -199,7 +214,7 @@ def test_step_control_matches_single_loop_reference():
         k_prime = int(rng.integers(1, 46))
         c = 0.0 if tick % 7 == 0 else float(rng.uniform(0.0, 10.0))
         grant = float(rng.uniform(0, 50))
-        twin.assign_task(tick, k_prime, c)
+        twin.assign_task(k_prime, c)
         out = step_control(twin, grant)
         want = step_control_reference(x, c, k_prime, grant)
         _assert_matches_reference(twin, out, want)
@@ -237,7 +252,7 @@ def test_reference_descent_never_needs_its_clamp():
                 twin = DigitalTwin(0, step_alpha=alpha, curvature=kappa,
                                    box_low=lo, box_high=hi)
                 twin._action = x0
-                twin.assign_task(case, 1, c)
+                twin.assign_task(1, c)
                 step_control(twin, 1)
                 assert twin.action == c
 
@@ -247,7 +262,7 @@ def test_huge_grant_lands_on_target():
     # whole baseline; a twin run as a loop of steps would not return
     twin = make_twin()
     for tick, c in enumerate((7.3, 0.0, 10.0, 2.5)):
-        twin.assign_task(tick, 9, c)
+        twin.assign_task(9, c)
         out = step_control(twin, 1e15)
         assert twin.action == c
         assert out.achieved == 0.0
@@ -259,7 +274,7 @@ def test_action_stays_in_box_and_gap_nonnegative():
     rng = np.random.default_rng(9)
     targets = np.random.default_rng(123)
     for tick in range(60):
-        twin.assign_task(tick, int(rng.integers(1, 40)),
+        twin.assign_task(int(rng.integers(1, 40)),
                          targets.uniform(0.0, 10.0))
         out = step_control(twin, float(rng.uniform(0, 50)))
         assert 0.0 <= twin.action <= 10.0
@@ -273,7 +288,7 @@ def test_action_stays_in_box_and_gap_nonnegative():
             twin = DigitalTwin(0, step_alpha=1e-20, box_low=-0.7,
                                box_high=2.9)
             twin._action = x0
-            twin.assign_task(0, 3, float(c))
+            twin.assign_task(3, float(c))
             step_control(twin, 3)
             assert -0.7 <= twin.action <= 2.9
 
@@ -282,7 +297,7 @@ def test_step_control_agrees_with_generic_solver():
     # the twin's closed form and the generic projected descent must land on
     # the same iterate when given identical iteration budgets
     twin = make_twin()
-    twin.assign_task(0, 30, 7.25)
+    twin.assign_task(30, 7.25)
     start = twin.action
     step_control(twin, 13)
     problem = SmoothConvexProblem(
@@ -296,83 +311,71 @@ def test_step_control_agrees_with_generic_solver():
 
 
 def test_update_regret_accumulates():
-    tracker = RegretTracker(threshold_epsilon_per_step=1.0)
-    increments = [1.0, -0.5, 0.5]
-    for t, inc in enumerate(increments):
-        update_regret(tracker, PerformanceSample(tick=t, achieved=inc,
-                                                 requested_baseline=0.0))
-    assert tracker.cumulative_regret_R == pytest.approx(1.0)
-    stale = PerformanceSample(tick=2, achieved=0.0, requested_baseline=0.0)
-    tracker.reset(5)
-    assert tracker.cumulative_regret_R == 0.0
-    with pytest.raises(ValueError):
-        update_regret(tracker, stale)
+    regret = np.zeros(2)
+    for achieved in ([1.0, 2.0], [-0.5, 0.0], [0.5, -3.0]):
+        out = update_regret(regret, [PerformanceSample(a, 0.0)
+                                     for a in achieved])
+        assert out is regret                        # in place
+    assert regret.tolist() == [1.0, -1.0]
+    update_regret(regret, [PerformanceSample(0.25, 1.0),
+                           PerformanceSample(1.0, 0.25)])
+    assert regret.tolist() == [0.25, -0.25]         # achieved - baseline
 
 
 def test_regret_telescopes():
     rng = np.random.default_rng(31)
-    tracker = RegretTracker(threshold_epsilon_per_step=1.0)
-    total = 0.0
+    regret = np.zeros(3)
+    totals = [0.0] * 3
     for t in range(200):
-        achieved = float(rng.uniform(0, 4))
-        baseline = float(rng.uniform(0, 4))
-        update_regret(tracker, PerformanceSample(t, achieved, baseline))
-        total += achieved - baseline
-    assert tracker.cumulative_regret_R == total
+        achieved = rng.uniform(0, 4, 3).tolist()
+        baseline = rng.uniform(0, 4, 3).tolist()
+        update_regret(regret, [PerformanceSample(a, b)
+                               for a, b in zip(achieved, baseline)])
+        totals = [r + (a - b) for r, a, b in zip(totals, achieved, baseline)]
+    assert regret.tolist() == totals
 
 
 def test_over_granted_twin_never_builds_positive_regret():
     twin = make_twin()
-    tracker = None
+    regret = np.zeros(1)
     rng = np.random.default_rng(77)
     targets = np.random.default_rng(123)
     for tick in range(40):
-        twin.assign_task(tick, int(rng.integers(1, 30)),
-                         targets.uniform(0.0, 10.0))
-        if tracker is None:
-            tracker = twin.make_tracker()
-        k_prime, _ = compute_requirement(twin)
-        out = step_control(twin, k_prime + 5)
-        update_regret(tracker, out)
-        assert tracker.cumulative_regret_R <= 0.0
+        k_prime = int(rng.integers(1, 30))
+        twin.assign_task(k_prime, targets.uniform(0.0, 10.0))
+        update_regret(regret, [step_control(twin, k_prime + 5)])
+        assert regret[0] <= 0.0
 
 
 def test_check_satisfaction_budget():
-    tracker = RegretTracker(threshold_epsilon_per_step=1.0)
-    assert check_satisfaction(tracker, 0)
-    tracker.cumulative_regret_R = 5.0
-    assert not check_satisfaction(tracker, 2)   # budget 3
-    tracker.cumulative_regret_R = 3.0
-    assert check_satisfaction(tracker, 2)       # boundary counts as satisfied
-    tracker.cumulative_regret_R = -5.0
-    assert not check_satisfaction(tracker, 2)   # magnitude, not sign
+    eps = np.array([1.0])
+    assert check_satisfaction(np.array([0.0]), eps, 0)
+    assert not check_satisfaction(np.array([5.0]), eps, 2)    # budget 3
+    assert check_satisfaction(np.array([3.0]), eps, 2)  # boundary satisfies
+    assert not check_satisfaction(np.array([-5.0]), eps, 2)   # magnitude
+    assert check_satisfaction(np.array([-3.0]), eps, 2)       # not sign
+    # each twin against its own budget: 3.0 is inside 3 x 1.0, not 3 x 0.5
+    assert check_satisfaction(np.array([3.0, 1.5]), np.array([1.0, 0.5]), 2)
+    assert not check_satisfaction(np.array([1.5, 3.0]),
+                                  np.array([1.0, 0.5]), 2)
+    assert check_satisfaction(np.array([0.0]), eps, 0) is True
     with pytest.raises(ValueError):
-        check_satisfaction(tracker, -1)
-    with pytest.raises(ValueError):
-        RegretTracker(threshold_epsilon_per_step=0.0)
+        check_satisfaction(np.array([0.0]), eps, -1)
 
 
 def test_forecast_is_persistence():
-    twin = make_twin()
-    twin.assign_task(0, 20, 5.0)
-    assert np.array_equal(forecast_requirements(twin, 1), [20.0, 20.0])
-    assert np.array_equal(forecast_requirements(twin, 5), np.full(6, 20.0))
+    k_prime = np.array([20.0, 7.0])
+    assert np.array_equal(forecast_requirements(k_prime, 1),
+                          [[20.0, 7.0], [20.0, 7.0]])
+    assert np.array_equal(forecast_requirements(k_prime, 5),
+                          np.tile(k_prime, (6, 1)))
     with pytest.raises(ValueError):
-        forecast_requirements(twin, 0)
+        forecast_requirements(k_prime, 0)
 
 
 def test_epsilon_defaults_to_initial_tolerance_fraction():
-    twin = make_twin()
-    with pytest.raises(RuntimeError):
-        _ = twin.epsilon_per_step
-    twin.assign_task(0, 10, 5.0)
-    delta0 = 10.0 * 10.0 / (2.0 * twin.step_alpha * 10)
-    assert twin.epsilon_per_step == pytest.approx(DEFAULT_EPSILON_FACTOR * delta0)
-    twin.assign_task(1, 40, 5.0)   # later tasks must not move the budget
-    assert twin.epsilon_per_step == pytest.approx(DEFAULT_EPSILON_FACTOR * delta0)
-
-    explicit = make_twin(epsilon_per_step=0.7)
-    assert explicit.epsilon_per_step == 0.7
-    tracker = explicit.make_tracker(event_tick=4)
-    assert tracker.threshold_epsilon_per_step == 0.7
-    assert tracker.last_event_tick_tau == 4
+    first = np.array([10, 40])
+    delta0 = 10.0 * 10.0 / (2.0 * DigitalTwin(0).step_alpha * first)
+    assert regret_budgets(first, None) == pytest.approx(
+        DEFAULT_EPSILON_FACTOR * delta0)
+    assert regret_budgets(first, 0.7).tolist() == [0.7, 0.7]
