@@ -37,65 +37,35 @@ class ScenarioValidationError(ValueError):
         super().__init__("; ".join(self.diagnostics))
 
 
-def requirement_vector(values) -> np.ndarray:
-    """Validate a per-resource requirement vector (entries >= 0)."""
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("requirement vector must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("requirement vector must be finite")
-    if np.any(arr < 0):
-        raise ValueError("requirements must be nonnegative")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class AllocationConstraints:
-    """Constraint data the manager receives each tick.
+    """The allocation constants of one run, checked when built.
 
-    capacity_b and nonnegativity are hard; lower_bounds (minimum acceptable
-    grants) and max_deviation (largest tolerated shortfall versus requested)
-    are soft, enforced through a quadratic slack penalty weighted by
-    slack_penalty_rho.
+    capacity_b (the per-tick budget) and nonnegativity are hard. Each
+    tick's minimum acceptable grants and the largest tolerated shortfall
+    below the request, max_deviation, are soft, enforced through a
+    quadratic slack penalty weighted by slack_penalty_rho.
     """
 
     capacity_b: float
-    lower_bounds: np.ndarray      # minimum acceptable grant per resource
-    requested: np.ndarray         # iterations requested per resource
-    max_deviation: np.ndarray | float = DEFAULT_MAX_DEVIATION
+    max_deviation: float = DEFAULT_MAX_DEVIATION
     slack_penalty_rho: float = DEFAULT_SLACK_PENALTY
 
     def __post_init__(self):
-        lower = requirement_vector(self.lower_bounds)
-        requested = requirement_vector(self.requested)
-        if lower.shape != requested.shape:
-            raise DimensionMismatch("lower_bounds and requested lengths differ")
-        if np.any(lower > requested):
-            raise ValueError("lower bounds must not exceed requested values")
-        dev = np.broadcast_to(np.asarray(self.max_deviation, dtype=float),
-                              requested.shape).copy()
-        if np.any(dev < 0):
-            raise ValueError("max_deviation must be nonnegative")
-        dev.flags.writeable = False
         if not self.capacity_b > 0:
             raise ValueError("capacity_b must be positive")
-        if self.slack_penalty_rho < 0:
+        if not self.max_deviation >= 0:
+            raise ValueError("max_deviation must be nonnegative")
+        if not self.slack_penalty_rho >= 0:
             raise ValueError("slack_penalty_rho must be nonnegative")
-        object.__setattr__(self, "lower_bounds", lower)
-        object.__setattr__(self, "requested", requested)
-        object.__setattr__(self, "max_deviation", dev)
-
-    @property
-    def n(self) -> int:
-        return self.requested.size
 
 
 def compute_residual(r, a):
     """Signed per-resource allocation residual and its infinity norm.
 
-    Returns (r - a, max |r_i - a_i|). Signed entries keep over-allocation
-    observable; the inf norm is the headline per-tick metric.
+    Returns (r - a, max |r_i - a_i|): a float for vectors, one norm per row
+    for (T, n) arrays. Signed entries keep over-allocation observable; the
+    inf norm is the headline per-tick metric.
     """
     r = np.asarray(r, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -103,7 +73,8 @@ def compute_residual(r, a):
         raise DimensionMismatch(
             f"requirement length {r.shape} != allocation length {a.shape}")
     per_resource = r - a
-    return per_resource, float(np.max(np.abs(per_resource)))
+    norm = np.max(np.abs(per_resource), axis=-1)
+    return per_resource, float(norm) if norm.ndim == 0 else norm
 
 
 @dataclass(frozen=True)
@@ -192,6 +163,11 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
         diags.append("epsilon_per_step must be positive when given")
     if config.rho < 0:
         diags.append("rho must be >= 0")
+    elif abs(r_hi) < 2 ** 63 and not math.isfinite(
+            (1.0 + 2.0 * config.rho) * (r_hi + DEFAULT_MAX_DEVIATION)):
+        # the allocation solve's largest intermediate would overflow
+        diags.append("rho must keep (1 + 2 rho) * (requirement_range maximum"
+                     " + max deviation) finite")
     if not 0 <= config.master_seed < 2 ** 64:
         diags.append("master_seed must fit in an unsigned 64-bit int")
     if diags:

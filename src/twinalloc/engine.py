@@ -1,11 +1,14 @@
 """Deterministic tick-loop orchestration of twins and the network manager.
 
 The plant-floor requirement walk and the twins' setpoint walks are drawn
-for the whole run up front; every twin's regret and budget are arrays. Per
-tick: every twin takes its requirement and setpoint, the active allocation
-policy runs on the reports k' (the walk row; persistence forecasts repeat
-it), every twin's controller steps with its grant, the regret array takes
-the tick's increments, then metrics are recorded. All randomness comes from
+for the whole run up front, and the reports k' and their floors are
+computed and checked once for the whole walk; every twin's regret and
+budget are arrays. Per tick: every twin takes its requirement and setpoint,
+the active allocation policy runs on the tick's reports (the walk row;
+persistence forecasts repeat it), every twin's controller steps with its
+grant, the regret array takes the tick's increments, then regret and
+allocation are recorded. The residual series is computed once, after the
+last tick. All randomness comes from
 named substreams of one master seed, so the walks are identical across
 policies and independent of execution order. Substream (seed, domain, i) is
 numpy's Generator(PCG64(SeedSequence((seed, domain, i)))).
@@ -208,10 +211,16 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
     # a Python int sum is exact where an int64 sum could wrap
     capacity = (float(config.capacity_b) if config.capacity_b is not None
                 else float(sum(requirement_series[0].tolist())))
+    # the run's constants and every tick's reports k' and floors k_lower,
+    # checked here once; no tick checks them again
+    constraints = AllocationConstraints(capacity, DEFAULT_MAX_DEVIATION,
+                                        config.rho)
+    k_prime, k_lower = compute_requirement(requirement_series, config.gap)
+    if not np.all((1.0 <= k_lower) & (k_lower <= k_prime)):
+        raise SimulationError(0, "requirement floors must lie in [1, k']")
     epsilon = regret_budgets(requirement_series[0], config.epsilon_per_step)
     regret = np.zeros(n)      # per twin, since the last reallocation event
 
-    residual_series = np.empty(n_ticks)
     regret_series = np.empty((n_ticks, n))
     allocation_series = np.empty((n_ticks, n))
     realloc_ticks: list[int] = []
@@ -220,19 +229,11 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
     held_alloc = None         # current fixed allocation (equal/static/event)
     tau_last = 0              # tick of the last reallocation event
 
-    # built only where a policy solves, from this tick's reports
-    def constraints():
-        return AllocationConstraints(
-            capacity_b=capacity, lower_bounds=k_lower, requested=k_prime,
-            max_deviation=DEFAULT_MAX_DEVIATION, slack_penalty_rho=config.rho)
-
     for t in range(n_ticks):
         try:
             for twin, req, target in zip(twins, requirement_series[t].tolist(),
                                          targets[t].tolist()):
                 twin.assign_task(req, target)
-            k_prime, k_lower = compute_requirement(requirement_series[t],
-                                                   config.gap)
 
             if policy is PolicyKind.EQUAL:
                 if held_alloc is None:
@@ -240,32 +241,31 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
                 alloc = held_alloc
             elif policy is PolicyKind.STATIC:
                 if held_alloc is None:
-                    held_alloc = allocate_static(k_prime, capacity)
+                    held_alloc = allocate_static(k_prime[t], capacity)
                 alloc = held_alloc
             elif policy is PolicyKind.EVENT_TRIGGERED:
                 if held_alloc is None:
-                    held_alloc = allocate_static(k_prime, capacity)
+                    held_alloc = allocate_static(k_prime[t], capacity)
                 elif should_trigger(regret, epsilon, t - tau_last,
                                     history.max_reallocation_period):
                     horizon = estimate_event_horizon(history)
                     held_alloc = allocate_event(
-                        forecast_requirements(k_prime, horizon),
-                        constraints(), horizon)
+                        forecast_requirements(k_prime[t], horizon),
+                        k_lower[t], constraints, horizon)
                     history.record(t)
                     realloc_ticks.append(t)
                     tau_last = t
                     regret[:] = 0.0
                 alloc = held_alloc
             else:
-                alloc = allocate_online(forecast_requirements(k_prime, 1),
-                                        constraints())
+                alloc = allocate_online(forecast_requirements(k_prime[t], 1),
+                                        k_lower[t], constraints)
                 if t >= 1:
                     realloc_ticks.append(t)
 
             update_regret(regret, [step_control(twin, grant) for twin, grant
                                    in zip(twins, alloc.tolist())])
 
-            residual_series[t] = compute_residual(k_prime, alloc)[1]
             regret_series[t] = regret
             allocation_series[t] = alloc
         except SimulationError:
@@ -273,6 +273,7 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
         except Exception as exc:
             raise SimulationError(t, str(exc)) from exc
 
+    residual_series = compute_residual(k_prime, allocation_series)[1]
     after = residual_series[config.stationary_prefix:]
     mean_after = float(after.mean()) if after.size else float("nan")
     for arr in (residual_series, regret_series, requirement_series,

@@ -77,9 +77,9 @@ def allocate_static(expected_r, capacity_b: float) -> np.ndarray:
     return project_capped_simplex(r_bar, np.zeros_like(r_bar), capacity_b)
 
 
-def _check_forecast(forecast, n: int, horizon: int) -> np.ndarray:
+def _check_forecast(forecast, lower_bounds, horizon: int) -> np.ndarray:
     fc = np.asarray(forecast, dtype=float)
-    if fc.ndim != 2 or fc.shape[1] != n:
+    if fc.ndim != 2 or fc.shape[1] != len(lower_bounds):
         raise ValueError("forecast must be a (steps, n) array")
     if fc.shape[0] < horizon + 1:
         raise ValueError(f"forecast must cover {horizon + 1} steps")
@@ -88,22 +88,23 @@ def _check_forecast(forecast, n: int, horizon: int) -> np.ndarray:
     return fc
 
 
-def allocate_online(forecast, constraints: AllocationConstraints
-                    ) -> np.ndarray:
+def allocate_online(forecast, lower_bounds,
+                    constraints: AllocationConstraints) -> np.ndarray:
     """Receding-horizon allocation for the next step.
 
-    Minimizes tracking error against forecast row 1 (row 0 is the current
-    report) plus the slack penalty over the budget set.
+    Minimizes tracking error against forecast row 1 plus the slack penalty
+    over the budget set. Row 0 is the current report, the request whose
+    shortfall max_deviation bounds; lower_bounds are this tick's minimum
+    acceptable grants.
     """
-    fc = _check_forecast(forecast, constraints.n, 1)
-    dev_floor = constraints.requested - constraints.max_deviation
+    fc = _check_forecast(forecast, lower_bounds, 1)
     a, _ = hinge_quadratic_solve(
-        fc[1], constraints.lower_bounds, dev_floor,
+        fc[1], lower_bounds, fc[0] - constraints.max_deviation,
         constraints.slack_penalty_rho, constraints.capacity_b)
     return a
 
 
-def allocate_event(forecast, constraints: AllocationConstraints,
+def allocate_event(forecast, lower_bounds, constraints: AllocationConstraints,
                    N_e: int) -> np.ndarray:
     """One fixed allocation held for the whole predicted inter-event horizon.
 
@@ -113,15 +114,13 @@ def allocate_event(forecast, constraints: AllocationConstraints,
     """
     if N_e < 1:
         raise ValueError("N_e must be >= 1")
-    fc = _check_forecast(forecast, constraints.n, N_e)
-    rho = constraints.slack_penalty_rho
-    dev_floor = constraints.requested - constraints.max_deviation
+    fc = _check_forecast(forecast, lower_bounds, N_e)
     mean_r = fc[1:N_e + 1].mean(axis=0)
     # N_e identical tracking stages plus a once-counted slack penalty: the
     # minimizer sees the penalty at rho / N_e relative to tracking the mean
     a, _ = hinge_quadratic_solve(
-        mean_r, constraints.lower_bounds, dev_floor, rho / N_e,
-        constraints.capacity_b)
+        mean_r, lower_bounds, fc[0] - constraints.max_deviation,
+        constraints.slack_penalty_rho / N_e, constraints.capacity_b)
     return a
 
 

@@ -22,6 +22,9 @@ from .core import InfeasibleSetError
 _CEIL_GUARD = 1.0 - 4e-12
 # Relative slack when checking alpha <= 1/L, so alpha computed as 1/L passes.
 _STEP_SLACK = 1.0 + 1e-9
+# Elements of a(s) one pass of the hinge solve's knot search evaluates: up
+# to _KNOT_BLOCK // n knots at once.
+_KNOT_BLOCK = 2048
 
 
 class SolverError(RuntimeError):
@@ -221,10 +224,18 @@ def hinge_quadratic_solve(target, soft_lower, dev_floor, rho: float,
     at zero. sum a(s) is continuous, piecewise linear and non-increasing,
     with breakpoints at t - p2, t - p1 + rho (p2 - p1) and
     t + rho (max(p1, 0) + max(p2, 0)). If a(0) fits the budget it is the
-    minimizer; otherwise bisection over the sorted breakpoints finds the
-    linear piece on which sum a(s) = capacity, solved there in closed form.
+    minimizer; otherwise a blocked search over the sorted breakpoints finds
+    the linear piece on which sum a(s) = capacity, solved there in closed
+    form. Each pass evaluates sum a(s) at up to _KNOT_BLOCK // n knots
+    spread evenly over the current bracket, as one (m, n) array with row
+    sums, and keeps the two neighbouring knots whose sums straddle the
+    capacity: at n = 20 one pass covers every knot, and from
+    n >= _KNOT_BLOCK on each pass tests one knot, which is bisection. The
+    computed sums are monotone in s, so the bracket, and with it the
+    result, does not depend on how many knots a pass tests.
 
-    Returns (a, passes): passes counts the O(n) evaluations of a(s), >= 1.
+    Returns (a, passes): passes counts the vectorised evaluations of a(s),
+    >= 1: the one at s = 0, one per block of knots and the final one.
     """
     target = np.atleast_1d(np.asarray(target, dtype=float))
     soft_lower = np.broadcast_to(np.asarray(soft_lower, dtype=float),
@@ -259,14 +270,19 @@ def hinge_quadratic_solve(target, soft_lower, dev_floor, rho: float,
         # last knot every coordinate is clipped to zero
         lo, hi = -1, knots.size - 1
         lo_s, hi_sum = 0.0, 0.0
+        per_pass = max(_KNOT_BLOCK // target.size, 1)
         while hi - lo > 1:
-            mid = (lo + hi) // 2
-            total = float(allocation(knots[mid]).sum())
+            # the knots lo + stride, lo + 2 stride, ... strictly inside the
+            # bracket: at most per_pass of them, every one when they fit
+            stride = -(-(hi - lo) // (per_pass + 1))
+            sums = allocation(knots[lo + stride:hi:stride, None]).sum(axis=1)
             passes += 1
-            if total > capacity:
-                lo, lo_s, lo_sum = mid, float(knots[mid]), total
-            else:
-                hi, hi_sum = mid, total
+            above = int(np.count_nonzero(sums > capacity))
+            if above < sums.size:
+                hi, hi_sum = lo + stride * (above + 1), float(sums[above])
+            if above:
+                lo, lo_sum = lo + stride * above, float(sums[above - 1])
+                lo_s = float(knots[lo])
         hi_s = float(knots[hi])
         s = lo_s + (lo_sum - capacity) * (hi_s - lo_s) / (lo_sum - hi_sum)
         a = allocation(s)

@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the solvers.
 
 Everything here is deliberately brute force: dense grids, exhaustive
-active-set enumeration, rejection sampling, a step-by-step descent. None of
-it shares code with the package under test.
+active-set enumeration, rejection sampling, a step-by-step descent, a
+breakpoint search one knot at a time. None of it shares code with the
+package under test.
 """
 
 import itertools
@@ -107,3 +108,55 @@ def step_control_reference(x0, c, k_prime, granted, lo=0.0, hi=10.0,
     achieved = 0.5 * kappa * (x_granted - c) ** 2 - f_star
     baseline = 0.5 * kappa * (x_requested - c) ** 2 - f_star
     return x_granted, achieved, baseline
+
+
+def hinge_quadratic_solve_bisection(target, soft_lower, dev_floor, rho,
+                                    capacity):
+    """The hinge solve's breakpoint search one knot per pass, by bisection.
+
+    The same a(s), knots and closed-form last step as
+    twinalloc.solver.hinge_quadratic_solve; each pass evaluates sum a(s) at
+    the middle knot of the bracket. Returns (a, passes).
+    """
+    target = np.atleast_1d(np.asarray(target, dtype=float))
+    soft_lower = np.broadcast_to(np.asarray(soft_lower, dtype=float),
+                                 target.shape)
+    dev_floor = np.broadcast_to(np.asarray(dev_floor, dtype=float),
+                                target.shape)
+    rho = float(rho)
+    capacity = float(capacity)
+    p1 = np.minimum(soft_lower, dev_floor)
+    p2 = np.maximum(soft_lower, dev_floor)
+    one_hinge = target + rho * p2
+    two_hinges = target + rho * (p1 + p2)
+
+    def allocation(s):
+        a = np.maximum(target - s, (one_hinge - s) / (1.0 + rho))
+        a = np.maximum(a, (two_hinges - s) / (1.0 + 2.0 * rho))
+        return np.maximum(a, 0.0)
+
+    a = allocation(0.0)
+    passes = 1
+    lo_sum = float(a.sum())
+    if lo_sum > capacity:
+        knots = np.concatenate([
+            target - p2, target - p1 + rho * (p2 - p1),
+            target + rho * (np.maximum(p1, 0.0) + np.maximum(p2, 0.0))])
+        knots = np.sort(knots[knots > 0.0])
+        # invariant: sum a(lo_s) > capacity >= sum a(knots[hi]); at the
+        # last knot every coordinate is clipped to zero
+        lo, hi = -1, knots.size - 1
+        lo_s, hi_sum = 0.0, 0.0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            total = float(allocation(knots[mid]).sum())
+            passes += 1
+            if total > capacity:
+                lo, lo_s, lo_sum = mid, float(knots[mid]), total
+            else:
+                hi, hi_sum = mid, total
+        hi_s = float(knots[hi])
+        s = lo_s + (lo_sum - capacity) * (hi_s - lo_s) / (lo_sum - hi_sum)
+        a = allocation(s)
+        passes += 1
+    return a, passes

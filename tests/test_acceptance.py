@@ -150,8 +150,8 @@ def test_criterion_5_solver_oracles():
             lower = np.maximum(requested - rng.uniform(0.5, 4.0, n), 0.0)
             max_dev = float(rng.uniform(1.0, 10.0))
             constraints = AllocationConstraints(
-                capacity_b=capacity, lower_bounds=lower, requested=requested,
-                max_deviation=max_dev, slack_penalty_rho=1e3)
+                capacity_b=capacity, max_deviation=max_dev,
+                slack_penalty_rho=1e3)
             dev_floor = requested - constraints.max_deviation
             grid = grid_capped_simplex(n, capacity, steps[n])
             track = np.sum((grid - requested) ** 2, axis=1)
@@ -165,12 +165,12 @@ def test_criterion_5_solver_oracles():
                 rho, weight = 0.0, 1.0
             elif which == 1:
                 fc = np.tile(requested, (2, 1))
-                a = allocate_online(fc, constraints)
+                a = allocate_online(fc, lower, constraints)
                 best = float((track + 1e3 * hinge).min())
                 rho, weight = 1e3, 1.0
             else:
                 fc = np.tile(requested, (3, 1))
-                a = allocate_event(fc, constraints, N_e=2)
+                a = allocate_event(fc, lower, constraints, N_e=2)
                 best = float((2.0 * track + 1e3 * hinge).min())
                 rho, weight = 1e3, 2.0
             objective = penalized_tracking_objective(

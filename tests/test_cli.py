@@ -201,6 +201,25 @@ def test_invalid_scenario_exits_config(tmp_path, capsys, payload):
     assert "error:" in capsys.readouterr().err
 
 
+def test_overflowing_rho_exits_config_without_outputs(tmp_path, capsys):
+    # (1 + 2 rho) * (45 + 10) overflows at rho = 1e308: rejected at load
+    # time, where the run used to fail at tick 0 with exit 3
+    scenario = tmp_path / "scenario.json"
+    out = tmp_path / "out"
+    scenario.write_text('{"rho": 1e308}')
+    code = main(["compare", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "error: rho must keep (1 + 2 rho)" in err
+    assert "tick" not in err
+    # a huge ρ whose solve stays finite still runs
+    scenario.write_text('{"rho": 1e200, "n_ticks": 30}')
+    code = main(["compare", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 0
+    capsys.readouterr()
+
+
 def test_import_and_load_leave_numpy_random_unloaded(cli_env):
     # importing numpy.random costs about 16 ms, paid only once a walk is drawn
     _, scenario, _ = cli_env

@@ -3,45 +3,22 @@
 import numpy as np
 import pytest
 
-from twinalloc.core import (AllocationConstraints, DimensionMismatch,
+from twinalloc.core import (DEFAULT_MAX_DEVIATION, DEFAULT_SLACK_PENALTY,
+                            AllocationConstraints, DimensionMismatch,
                             ScenarioConfig, ScenarioValidationError,
-                            compute_residual, requirement_vector,
-                            validate_scenario)
-
-
-def test_requirement_vector_accepts_and_freezes():
-    v = requirement_vector([1, 2, 3])
-    assert v.dtype == float
-    assert not v.flags.writeable
-
-
-def test_vector_validation_rejects_bad_input():
-    with pytest.raises(ValueError):
-        requirement_vector([1.0, -0.5])
-    with pytest.raises(ValueError):
-        requirement_vector([np.nan, 1.0])
-    with pytest.raises(ValueError):
-        requirement_vector([])
-    with pytest.raises(ValueError):
-        requirement_vector([[1.0, 2.0]])
+                            compute_residual, validate_scenario)
 
 
 def test_constraints_validation():
-    c = AllocationConstraints(capacity_b=10.0, lower_bounds=[1, 2],
-                              requested=[5, 6])
-    assert c.n == 2
-    assert c.max_deviation.shape == (2,)
+    c = AllocationConstraints(capacity_b=10.0)
+    assert c.max_deviation == DEFAULT_MAX_DEVIATION
+    assert c.slack_penalty_rho == DEFAULT_SLACK_PENALTY
     with pytest.raises(ValueError):
-        AllocationConstraints(capacity_b=10.0, lower_bounds=[7, 2],
-                              requested=[5, 6])
+        AllocationConstraints(capacity_b=0.0)
     with pytest.raises(ValueError):
-        AllocationConstraints(capacity_b=0.0, lower_bounds=[1], requested=[5])
-    with pytest.raises(DimensionMismatch):
-        AllocationConstraints(capacity_b=10.0, lower_bounds=[1],
-                              requested=[5, 6])
+        AllocationConstraints(capacity_b=10.0, max_deviation=-1.0)
     with pytest.raises(ValueError):
-        AllocationConstraints(capacity_b=10.0, lower_bounds=[1],
-                              requested=[5], max_deviation=-1.0)
+        AllocationConstraints(capacity_b=10.0, slack_penalty_rho=-1.0)
 
 
 def test_residual_examples():
@@ -52,6 +29,18 @@ def test_residual_examples():
     assert inf == 5.0
     with pytest.raises(DimensionMismatch):
         compute_residual([1, 2], [1, 2, 3])
+
+
+def test_residual_rows_match_per_row_calls():
+    # the engine's one call on the whole run against one call per tick
+    rng = np.random.default_rng(11)
+    r = rng.integers(1, 46, (200, 30)).astype(float)
+    a = r + rng.uniform(-12.0, 12.0, r.shape)
+    per, norms = compute_residual(r, a)
+    assert np.array_equal(per, r - a)
+    rows = [compute_residual(r[t], a[t])[1] for t in range(r.shape[0])]
+    assert all(type(norm) is float for norm in rows)
+    assert norms.tobytes() == np.array(rows).tobytes()
 
 
 def test_residual_translation_consistency():
@@ -94,6 +83,7 @@ def test_default_scenario_is_valid_and_idempotent():
     (dict(n_ticks=float("nan")), "n_ticks"),
     (dict(rho=float("nan")), "rho"),
     (dict(capacity_b=float("inf")), "capacity_b"),
+    (dict(rho=1e307), "rho"),    # (1 + 2 rho) * (45 + 10) overflows
 ])
 def test_scenario_invariant_diagnostics(kwargs, needle):
     with pytest.raises(ScenarioValidationError) as err:

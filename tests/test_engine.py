@@ -304,13 +304,15 @@ def test_online_reallocates_every_tick(small_runs):
                                     PolicyKind.ONLINE_DYNAMIC])
 def test_solves_see_this_ticks_reports(monkeypatch, policy):
     # every re-solve at tick t is posed on the reports of tick t: a
-    # persistence forecast of k', k' as the request and its gap floor
+    # persistence forecast of k', k' as the request (forecast row 0) and
+    # its gap floor
     seen = []
 
     def recording(solve):
-        def wrapped(forecast, constraints, *rest):
-            seen.append((np.array(forecast), constraints, rest))
-            return solve(forecast, constraints, *rest)
+        def wrapped(forecast, lower_bounds, constraints, *rest):
+            seen.append((np.array(forecast), np.array(lower_bounds),
+                         constraints, rest))
+            return solve(forecast, lower_bounds, constraints, *rest)
         return wrapped
 
     for name in ("allocate_event", "allocate_online"):
@@ -321,13 +323,13 @@ def test_solves_see_this_ticks_reports(monkeypatch, policy):
     first = [0] if policy is PolicyKind.ONLINE_DYNAMIC else []
     ticks = first + list(res.reallocation_ticks)
     assert len(ticks) == len(seen) >= 5
-    for t, (forecast, constraints, rest) in zip(ticks, seen):
+    for t, (forecast, lower_bounds, constraints, rest) in zip(ticks, seen):
         req = res.requirement_series[t]
         assert np.all(forecast == req)
         if policy is PolicyKind.EVENT_TRIGGERED:
             assert forecast.shape[0] == rest[0] + 1
-        assert np.array_equal(constraints.requested, req)
-        assert np.array_equal(constraints.lower_bounds,
+        assert np.array_equal(forecast[0], req)
+        assert np.array_equal(lower_bounds,
                               np.maximum(np.ceil(req - cfg.gap), 1))
         assert constraints.capacity_b == res.capacity_b
 
@@ -370,6 +372,38 @@ def test_engine_matches_loop_descent(monkeypatch, config):
             np.testing.assert_allclose(got.regret_series, want.regret_series,
                                        rtol=0, atol=LOOP_REGRET_TOL,
                                        err_msg=f"seed {seed} {kind.value}")
+
+
+def test_reports_and_floors_are_computed_and_checked_once(monkeypatch):
+    # one compute_requirement call on the whole (T, n) walk per run; floors
+    # outside [1, k'] stop the run before any tick
+    calls = []
+    compute_requirement = engine.compute_requirement
+
+    def recording(requirements, gap):
+        calls.append(np.shape(requirements))
+        return compute_requirement(requirements, gap)
+
+    cfg = small_config(n_ticks=12, stationary_prefix=0)
+    with monkeypatch.context() as patch:
+        patch.setattr("twinalloc.engine.compute_requirement", recording)
+        run_scenario(cfg, PolicyKind.ONLINE_DYNAMIC, 0)
+    assert calls == [(cfg.n_ticks, cfg.n_resources)]
+
+    def floors_above_reports(requirements, gap):
+        k_prime, _ = compute_requirement(requirements, gap)
+        return k_prime, k_prime + 1.0
+
+    def no_solve(*args):
+        raise AssertionError("a tick ran")
+
+    monkeypatch.setattr("twinalloc.engine.compute_requirement",
+                        floors_above_reports)
+    monkeypatch.setattr("twinalloc.engine.allocate_online", no_solve)
+    with pytest.raises(SimulationError) as err:
+        run_scenario(cfg, PolicyKind.ONLINE_DYNAMIC, 0)
+    assert err.value.tick == 0
+    assert "floors" in str(err.value)
 
 
 def test_failures_carry_the_tick(monkeypatch):

@@ -14,23 +14,24 @@ from twinalloc.solver import project_capped_simplex
 
 def identity_setup(requested, capacity, lower=None, max_deviation=10.0,
                    rho=1e3):
+    """The floors (by default the engine's gap floors) and run constants."""
     requested = np.asarray(requested, dtype=float)
     if lower is None:
         lower = np.maximum(requested - 10.0, 1.0)
-    return AllocationConstraints(
-        capacity_b=capacity, lower_bounds=lower, requested=requested,
-        max_deviation=max_deviation, slack_penalty_rho=rho)
+    return np.asarray(lower, dtype=float), AllocationConstraints(
+        capacity_b=capacity, max_deviation=max_deviation,
+        slack_penalty_rho=rho)
 
 
 def persistence(requested, steps):
     return np.tile(np.asarray(requested, dtype=float), (steps + 1, 1))
 
 
-def horizon_cost(points, fc, constraints, N_e=1):
+def horizon_cost(points, fc, lower, constraints, N_e=1):
     """Tracking cost against forecast rows 1..N_e plus one slack penalty:
-    the event objective, and with N_e=1 the online one."""
-    lower = constraints.lower_bounds
-    dev_floor = constraints.requested - constraints.max_deviation
+    the event objective, and with N_e=1 the online one. The request is
+    forecast row 0."""
+    dev_floor = fc[0] - constraints.max_deviation
     cost = penalized_tracking_objective(
         points, 0.0, lower, dev_floor, constraints.slack_penalty_rho,
         weight=0.0)
@@ -78,25 +79,24 @@ def test_allocate_static_is_projection():
 
 
 def test_allocate_online_grants_feasible_requests_exactly():
-    constraints = identity_setup([5, 7, 3], capacity=20.0)
+    lower, constraints = identity_setup([5, 7, 3], capacity=20.0)
     fc = persistence([5, 7, 3], 1)
-    a = allocate_online(fc, constraints)
+    a = allocate_online(fc, lower, constraints)
     assert np.array_equal(a, [5.0, 7.0, 3.0])
-    assert horizon_cost(a, fc, constraints) == 0.0
+    assert horizon_cost(a, fc, lower, constraints) == 0.0
 
 
 def test_allocate_online_binding_instance_matches_grid():
-    constraints = identity_setup([4, 4], capacity=5.0, lower=[3, 3])
+    lower, constraints = identity_setup([4, 4], capacity=5.0, lower=[3, 3])
     fc = persistence([4, 4], 1)
-    a = allocate_online(fc, constraints)
+    a = allocate_online(fc, lower, constraints)
     assert np.allclose(a, [2.5, 2.5], atol=1e-6)
-    objective = horizon_cost(a, fc, constraints)
+    objective = horizon_cost(a, fc, lower, constraints)
     assert objective == pytest.approx(504.5, abs=1e-6)
     grid = grid_capped_simplex(2, 5.0, 0.01)
-    dev_floor = constraints.requested - constraints.max_deviation
+    dev_floor = fc[0] - constraints.max_deviation
     best = float(np.min(penalized_tracking_objective(
-        grid, np.array([4.0, 4.0]), constraints.lower_bounds, dev_floor,
-        rho=1e3)))
+        grid, np.array([4.0, 4.0]), lower, dev_floor, rho=1e3)))
     assert objective <= best + 1e-2
 
 
@@ -105,67 +105,70 @@ def test_allocate_online_zero_penalty_is_projection():
     for _ in range(5):
         n = int(rng.integers(2, 5))
         requested = rng.integers(5, 30, n).astype(float)
-        constraints = identity_setup(
+        lower, constraints = identity_setup(
             requested, capacity=float(requested.sum() * 0.7), rho=0.0)
-        a = allocate_online(persistence(requested, 1), constraints)
+        a = allocate_online(persistence(requested, 1), lower, constraints)
         expect = project_capped_simplex(requested, np.zeros(n),
                                         constraints.capacity_b)
         assert np.allclose(a, expect, atol=1e-6)
 
 
 def test_allocate_online_input_validation():
-    constraints = identity_setup([5, 5], capacity=20.0)
+    lower, constraints = identity_setup([5, 5], capacity=20.0)
     good = persistence([5, 5], 1)
     with pytest.raises(ValueError):
-        allocate_online(good[:, :1], constraints)
+        allocate_online(good[:, :1], lower, constraints)
     with pytest.raises(ValueError):
-        allocate_online(good[:1], constraints)
+        allocate_online(good[:1], lower, constraints)
     with pytest.raises(ValueError):
-        allocate_online(good * np.nan, constraints)
+        allocate_online(good * np.nan, lower, constraints)
+    with pytest.raises(ValueError):
+        allocate_online(good, lower[:1], constraints)
 
 
 def test_policies_reject_a_one_dimensional_forecast():
     # a forecast is (steps, n) with row 0 the current report; a bare report
     # vector is refused by its shape, not lifted to one row
-    constraints = identity_setup([5, 5], capacity=20.0)
+    lower, constraints = identity_setup([5, 5], capacity=20.0)
     flat = np.array([5.0, 5.0])
     with pytest.raises(ValueError, match=r"\(steps, n\) array"):
-        allocate_online(flat, constraints)
+        allocate_online(flat, lower, constraints)
     for N_e in (1, 3):
         with pytest.raises(ValueError, match=r"\(steps, n\) array"):
-            allocate_event(flat, constraints, N_e)
+            allocate_event(flat, lower, constraints, N_e)
 
 
 def test_allocate_event_single_step_equals_online():
-    constraints = identity_setup([9, 6], capacity=11.0, lower=[2, 2])
+    lower, constraints = identity_setup([9, 6], capacity=11.0, lower=[2, 2])
     fc = persistence([9, 6], 1)
-    assert np.array_equal(allocate_event(fc, constraints, N_e=1),
-                          allocate_online(fc, constraints))
+    assert np.array_equal(allocate_event(fc, lower, constraints, N_e=1),
+                          allocate_online(fc, lower, constraints))
 
 
 def test_allocate_event_tracks_window_mean():
-    constraints = identity_setup([4, 8], capacity=20.0, lower=[1, 1])
+    lower, constraints = identity_setup([4, 8], capacity=20.0, lower=[1, 1])
     fc = np.array([[4.0, 8.0], [2.0, 4.0], [4.0, 8.0]])
-    a = allocate_event(fc, constraints, N_e=2)
+    a = allocate_event(fc, lower, constraints, N_e=2)
     assert np.array_equal(a, [3.0, 6.0])
     # honest cost at the mean: the two tracking stages do not vanish
     expect = (1.0 + 4.0) + (1.0 + 4.0)
-    assert horizon_cost(a, fc, constraints, N_e=2) == pytest.approx(expect)
+    assert horizon_cost(a, fc, lower, constraints,
+                        N_e=2) == pytest.approx(expect)
 
 
 def test_allocate_event_binding_instance_matches_grid():
-    constraints = identity_setup(
+    lower, constraints = identity_setup(
         [6, 6], capacity=5.0, lower=[3, 3], max_deviation=2.0)
     fc = np.array([[6.0, 6.0], [4.0, 4.0], [6.0, 6.0]])
-    a = allocate_event(fc, constraints, N_e=2)
+    a = allocate_event(fc, lower, constraints, N_e=2)
     grid = grid_capped_simplex(2, 5.0, 0.01)
     track = (np.sum((grid - fc[1]) ** 2, axis=1)
              + np.sum((grid - fc[2]) ** 2, axis=1))
-    low = np.sum(np.maximum(constraints.lower_bounds - grid, 0.0) ** 2, axis=1)
-    dev_floor = constraints.requested - constraints.max_deviation
+    low = np.sum(np.maximum(lower - grid, 0.0) ** 2, axis=1)
+    dev_floor = fc[0] - constraints.max_deviation
     dev = np.sum(np.maximum(dev_floor - grid, 0.0) ** 2, axis=1)
     best = float(np.min(track + 1e3 * (low + dev)))
-    assert horizon_cost(a, fc, constraints, N_e=2) <= best + 1e-2
+    assert horizon_cost(a, fc, lower, constraints, N_e=2) <= best + 1e-2
 
 
 def test_all_policies_respect_hard_constraints():
@@ -174,13 +177,13 @@ def test_all_policies_respect_hard_constraints():
         n = int(rng.integers(2, 7))
         requested = rng.integers(1, 41, n).astype(float)
         capacity = float(max(requested.sum() * 0.6, 1.0))
-        constraints = identity_setup(requested, capacity)
+        lower, constraints = identity_setup(requested, capacity)
         fc = persistence(requested, 3)
         allocations = [
             allocate_equal(n, capacity),
             allocate_static(requested, capacity),
-            allocate_online(fc[:2], constraints),
-            allocate_event(fc, constraints, N_e=3),
+            allocate_online(fc[:2], lower, constraints),
+            allocate_event(fc, lower, constraints, N_e=3),
         ]
         for a in allocations:
             assert np.all(a >= -1e-12)

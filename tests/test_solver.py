@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from tests.oracles import (box_qp_oracle, grid_capped_simplex,
+                           hinge_quadratic_solve_bisection,
                            penalized_tracking_objective, sample_capped_simplex)
 from twinalloc.core import InfeasibleSetError
-from twinalloc.solver import (BoxSet, PGAConfig, SmoothConvexProblem,
-                              hinge_quadratic_solve, iterations_for_delta,
-                              pga_solve, project_capped_simplex)
+from twinalloc.solver import (_KNOT_BLOCK, BoxSet, PGAConfig,
+                              SmoothConvexProblem, hinge_quadratic_solve,
+                              iterations_for_delta, pga_solve,
+                              project_capped_simplex)
 
 
 def quadratic_problem(Q, c, lower, upper):
@@ -297,3 +299,35 @@ def test_hinge_solve_satisfies_kkt():
                                           capacity)
         assert passes >= 1
         _check_kkt(a, target, soft_lower, dev_floor, rho, capacity)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 17, 20, 33, 100, 300, 1000,
+                               2500])
+def test_blocked_knot_search_matches_bisection(n):
+    # 240 instances per size: the blocked search must find the bisection's
+    # bracket, so the allocation bytes agree exactly
+    rng = np.random.default_rng(1000 + n)
+    for trial in range(240):
+        rho = (0.0, 1.0, 1e3, 1e3 / int(rng.integers(2, 26)))[trial % 4]
+        target = rng.integers(1, 46, n).astype(float)
+        if trial % 3 == 0:
+            target += rng.uniform(-0.5, 0.5, n)
+        soft_lower = np.maximum(target - rng.integers(0, 13, n), 1.0)
+        dev_floor = target - 10.0 * rng.uniform(0.0, 5.0, n)
+        ties = rng.random(n) < 0.3
+        dev_floor[ties] = soft_lower[ties]
+        unconstrained = float(np.maximum(target, 0.0).sum())
+        capacity = (0.0, 1e-9, unconstrained * rng.uniform(1.0, 2.0),
+                    unconstrained * rng.uniform(0.05, 0.99),
+                    unconstrained * rng.uniform(0.9, 0.999))[trial % 5]
+        a, passes = hinge_quadratic_solve(target, soft_lower, dev_floor, rho,
+                                          capacity)
+        want, bisection_passes = hinge_quadratic_solve_bisection(
+            target, soft_lower, dev_floor, rho, capacity)
+        assert a.tobytes() == want.tobytes(), (trial, rho, capacity)
+        if n >= _KNOT_BLOCK:   # one knot per pass: bisection
+            assert abs(passes - bisection_passes) <= 1
+        else:
+            assert passes <= bisection_passes
+        if 3 * n <= _KNOT_BLOCK // n:
+            assert passes <= 3    # every knot in one pass
