@@ -23,8 +23,8 @@ def run(grant_offset: int, seed: int = 11):
     for tick in range(TICKS):
         k_prime = int(loads[tick])
         twin.assign_task(k_prime, float(setpoints[tick]))
-        sample = step_control(twin, max(k_prime + grant_offset, 1))
-        update_regret(regret, [sample])
+        increment = step_control(twin, max(k_prime + grant_offset, 1))
+        update_regret(regret, [increment])
     return regret, regret_budgets(loads[:1], None)
 
 

@@ -26,9 +26,9 @@ from .report import (build_manifest, config_digest, render_comparison_svg,
 from .solver import (BoxSet, PGAConfig, PGAResult, SmoothConvexProblem,
                      SolverError, iterations_for_delta, pga_solve,
                      project_capped_simplex)
-from .twin import (DigitalTwin, PerformanceSample, check_satisfaction,
-                   compute_requirement, forecast_requirements, regret_budgets,
-                   step_control, update_regret)
+from .twin import (DigitalTwin, check_satisfaction, compute_requirement,
+                   forecast_requirements, regret_budgets, step_control,
+                   update_regret)
 
 __version__ = "0.1.0"
 
@@ -36,9 +36,8 @@ __all__ = [
     "AllocationConstraints", "BoxSet", "DEFAULT_MAX_DEVIATION",
     "DEFAULT_SLACK_PENALTY", "DigitalTwin", "DimensionMismatch",
     "EventHistory", "InfeasibleSetError", "PGAConfig", "PGAResult",
-    "PerformanceSample", "PolicyKind", "ScenarioConfig",
-    "ScenarioValidationError", "SimResult", "SimulationError",
-    "SmoothConvexProblem", "SolverError",
+    "PolicyKind", "ScenarioConfig", "ScenarioValidationError", "SimResult",
+    "SimulationError", "SmoothConvexProblem", "SolverError",
     "allocate_equal", "allocate_event", "allocate_online", "allocate_static",
     "build_manifest", "check_satisfaction", "compare_policies",
     "compute_requirement", "compute_residual", "config_digest",

@@ -56,7 +56,9 @@ def project_capped_simplex(x, lower, capacity: float) -> np.ndarray:
     css = np.cumsum(u)
     ks = np.arange(1, u.size + 1)
     thetas = (css - budget) / ks
-    k = int(np.nonzero(u > thetas)[0].max()) + 1
+    # in exact arithmetic the largest coordinate is always active; a budget
+    # below the rounding of css can leave u > thetas all false
+    k = int(np.nonzero(u > thetas)[0].max(initial=0)) + 1
     theta = (css[k - 1] - budget) / k
     return lower + np.maximum(z - theta, 0.0)
 

@@ -3,18 +3,17 @@
 Each tick a twin receives a fresh quadratic tracking task: the plant
 floor's iteration requirement and a setpoint, both pre-drawn by the engine.
 It takes however many descent iterations the network manager granted and
-measures the performance gap versus the counterfactual run that got
-everything it asked for. Gradient descent on the twin's 1-d quadratic
-contracts linearly, so both runs are evaluated in closed form, in O(1)
-whatever the grant. Requirements, floors, regret and regret budgets are
-arrays over all twins, held by the caller.
+returns the tick's regret increment: its performance gap minus that of the
+counterfactual run that got everything it asked for. Gradient descent on
+the twin's 1-d quadratic contracts linearly, so both runs are evaluated in
+closed form, in O(1) whatever the grant. Requirements, floors, regret and
+regret budgets are arrays over all twins, held by the caller.
 """
 
 from __future__ import annotations
 
 from math import floor, isfinite
 from operator import index
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,17 +32,6 @@ _FLOOR_GUARD = 1e-9
 # Default task box, shared by DigitalTwin and the engine's setpoint walk.
 DEFAULT_BOX_LOW = 0.0
 DEFAULT_BOX_HIGH = 10.0
-
-
-class PerformanceSample(NamedTuple):
-    """Measured suboptimality for one tick (lower is better)."""
-
-    achieved: float             # f(x_f) - f(x*) after the granted iterations
-    requested_baseline: float   # same quantity after the requested k' iterations
-
-    @property
-    def regret_increment(self) -> float:
-        return self.achieved - self.requested_baseline
 
 
 class DigitalTwin:
@@ -121,13 +109,14 @@ def compute_requirement(requirements, gap: float
     return k_prime, np.maximum(np.ceil(k_prime - gap), 1.0)
 
 
-def step_control(twin: DigitalTwin, granted: float) -> PerformanceSample:
-    """Take the granted descent iterations (at least one); measure performance.
+def step_control(twin: DigitalTwin, granted: float) -> float:
+    """Take the granted descent iterations (at least one); return the tick's
+    regret increment, achieved minus baseline suboptimality.
 
     The action is the final iterate itself (identity actuation map). The
     baseline runs the same descent to the requested count k' from the same
-    start, so granting exactly k' makes achieved equal the baseline. Both
-    are f(x) - f(x*) with x* = target, so f(x*) = 0.
+    start, so granting exactly k' gives an increment of exactly 0. Both
+    gaps are f(x) - f(x*) with x* = target, so f(x*) = 0.
 
     With q = 1 - alpha * kappa in [0, 1) and x, target both in the box, each
     step x - alpha * kappa * (x - c) is a convex combination of x and c, so
@@ -152,13 +141,13 @@ def step_control(twin: DigitalTwin, granted: float) -> PerformanceSample:
                    else x_requested)
     twin._action = x_granted
     half_kappa = 0.5 * twin.curvature
-    return PerformanceSample(half_kappa * (x_granted - c) ** 2,
-                             half_kappa * (x_requested - c) ** 2)
+    return (half_kappa * (x_granted - c) ** 2
+            - half_kappa * (x_requested - c) ** 2)
 
 
-def update_regret(regret: np.ndarray, samples) -> np.ndarray:
-    """Add each twin's sample's regret increment into regret, in place."""
-    regret += [sample.regret_increment for sample in samples]
+def update_regret(regret: np.ndarray, increments) -> np.ndarray:
+    """Add a tick's regret increments, one per twin, into regret in place."""
+    regret += increments
     return regret
 
 

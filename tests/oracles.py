@@ -3,7 +3,8 @@
 Everything here is deliberately brute force: dense grids, exhaustive
 active-set enumeration, rejection sampling, a step-by-step descent, a
 breakpoint search one knot at a time. None of it shares code with the
-package under test.
+package under test. The one exception is step_control_pair, an earlier form
+of the twin's control step kept to prove its successor bit-exact.
 """
 
 import itertools
@@ -108,6 +109,28 @@ def step_control_reference(x0, c, k_prime, granted, lo=0.0, hi=10.0,
     achieved = 0.5 * kappa * (x_granted - c) ** 2 - f_star
     baseline = 0.5 * kappa * (x_requested - c) ** 2 - f_star
     return x_granted, achieved, baseline
+
+
+def step_control_pair(x0, c, k_prime, granted, lo=0.0, hi=10.0, kappa=1.0,
+                      alpha=0.2):
+    """The twin's closed-form step that returned achieved and baseline apart.
+
+    Evaluates c + q^k (x0 - c), q = 1 - alpha * kappa, for the grant g (the
+    floor after a 1e-9 lift, at least 1) and for k', clamps each end to the
+    box once, and measures both against x* = c. Returns (action, achieved,
+    baseline); step_control's increment must equal achieved - baseline.
+    """
+    g = math.floor(granted + 1e-9) or 1
+    q = 1.0 - alpha * kappa
+    d0 = x0 - c
+    x_granted = c + q ** g * d0
+    x_requested = c + q ** k_prime * d0
+    x_granted = lo if x_granted < lo else hi if x_granted > hi else x_granted
+    x_requested = (lo if x_requested < lo else hi if x_requested > hi
+                   else x_requested)
+    half_kappa = 0.5 * kappa
+    return (x_granted, half_kappa * (x_granted - c) ** 2,
+            half_kappa * (x_requested - c) ** 2)
 
 
 def hinge_quadratic_solve_bisection(target, soft_lower, dev_floor, rho,

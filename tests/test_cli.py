@@ -201,6 +201,19 @@ def test_invalid_scenario_exits_config(tmp_path, capsys, payload):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("capacity", ["1e-17", "1e-300", "5e-324"])
+def test_tiny_positive_capacity_runs(tmp_path, capsys, capacity):
+    # a budget below the rounding of the projection's cumulative sums must
+    # still give the static and event policies a feasible split at tick 0
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(f'{{"capacity_b": {capacity}, "n_ticks": 5, '
+                        '"stationary_prefix": 1}')
+    out = tmp_path / "out"
+    code = main(["compare", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert (out / "summary.txt").exists()
+
+
 def test_overflowing_rho_exits_config_without_outputs(tmp_path, capsys):
     # (1 + 2 rho) * (45 + 10) overflows at rho = 1e308: rejected at load
     # time, where the run used to fail at tick 0 with exit 3

@@ -15,7 +15,6 @@ from twinalloc.engine import (SimulationError, compare_policies,
                               save_scenario, scenario_from_dict,
                               scenario_to_dict, target_walk)
 from twinalloc.manager import PolicyKind
-from twinalloc.twin import PerformanceSample
 
 
 class StepAlwaysHigh:
@@ -340,7 +339,7 @@ def loop_step_control(twin, granted):
         twin.action, twin._target, twin._k_prime, granted,
         twin.box_low, twin.box_high, twin.curvature, twin.step_alpha)
     twin._action = action
-    return PerformanceSample(achieved=achieved, requested_baseline=baseline)
+    return achieved - baseline
 
 
 # the closed-form descent rounds differently from the loop: 4.5e-13 at most

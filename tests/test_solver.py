@@ -90,6 +90,15 @@ def test_capped_simplex_edge_cases():
     assert np.array_equal(out, [2.0, 3.0])
 
 
+def test_capped_simplex_tiny_positive_budget():
+    # a budget below the rounding of the sorted cumulative sums leaves no
+    # coordinate above its threshold; the largest one is active regardless
+    for capacity in (1e-17, 1e-300, 5e-324):
+        out = project_capped_simplex([5.0, 7.0, 3.0], 0.0, capacity)
+        assert np.all(out >= 0.0)
+        assert out.sum() <= capacity
+
+
 def test_constraint_set_geometry():
     box = BoxSet([0.0, 0.0], [3.0, 4.0])
     assert box.diameter() == pytest.approx(5.0)

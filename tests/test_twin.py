@@ -1,17 +1,18 @@
 """Digital twin requirement, control and regret tests."""
 
+import itertools
 from math import ceil
 
 import numpy as np
 import pytest
 
-from tests.oracles import step_control_reference
+from tests.oracles import step_control_pair, step_control_reference
 from twinalloc.solver import (BoxSet, PGAConfig, SmoothConvexProblem,
                               iterations_for_delta, pga_solve)
 from twinalloc.twin import (DEFAULT_EPSILON_FACTOR, DigitalTwin,
-                            PerformanceSample, check_satisfaction,
-                            compute_requirement, forecast_requirements,
-                            regret_budgets, step_control, update_regret)
+                            check_satisfaction, compute_requirement,
+                            forecast_requirements, regret_budgets,
+                            step_control, update_regret)
 
 # closed form against the clamped loop: 1.4e-14 at most over 72k random cases
 STEP_TOL = 1e-12
@@ -106,7 +107,7 @@ def test_assign_task_rejects_target_outside_box():
             step_control(twin, 5)
         for edge in (low, high):
             twin.assign_task(5, edge)
-            assert step_control(twin, 5).regret_increment == 0.0
+            assert step_control(twin, 5) == 0.0
 
 
 def test_single_step_reaches_setpoint():
@@ -115,11 +116,12 @@ def test_single_step_reaches_setpoint():
     twin._action = 0.0
     twin.assign_task(1, 3.0)
     out = step_control(twin, 1)
-    want = step_control_reference(0.0, 3.0, 1, 1, alpha=1.0)
-    assert (twin.action, out.achieved, out.requested_baseline) == want
+    action, achieved, baseline = step_control_reference(0.0, 3.0, 1, 1,
+                                                        alpha=1.0)
+    assert (twin.action, out) == (action, achieved - baseline)
     assert twin.action == 3.0
-    assert out.achieved == 0.0
-    assert out.regret_increment == 0.0
+    assert 0.5 * (twin.action - 3.0) ** 2 == 0.0    # the achieved gap
+    assert out == 0.0
 
 
 def test_full_grant_meets_baseline_exactly():
@@ -134,24 +136,23 @@ def test_full_grant_meets_baseline_exactly():
             out = step_control(twin, k_prime - shortfall)
             assert out == step_control(exact, k_prime)
             assert twin.action == exact.action
-            assert out.achieved == out.requested_baseline
-            assert out.regret_increment == 0.0
+            assert out == 0.0   # achieved == baseline, bit for bit
 
 
 def test_over_grant_beats_baseline():
     twin = make_twin()
     twin.assign_task(5, 9.0)
     out = step_control(twin, 9)
-    assert out.regret_increment < 0.0
+    assert out < 0.0
 
 
 def test_under_grant_trails_baseline():
     twin = make_twin()
     twin.assign_task(9, 9.0)
     out = step_control(twin, 3)
-    want = step_control_reference(5.0, 9.0, 9, 3)
-    assert (twin.action, out.achieved, out.requested_baseline) == want
-    assert out.regret_increment > 0.0
+    action, achieved, baseline = step_control_reference(5.0, 9.0, 9, 3)
+    assert (twin.action, out) == (action, achieved - baseline)
+    assert out > 0.0
 
 
 def test_grant_is_floored_and_validated():
@@ -171,9 +172,10 @@ def test_grant_is_floored_and_validated():
 
 
 def _assert_matches_reference(twin, out, want):
-    np.testing.assert_allclose(
-        (twin.action, out.achieved, out.requested_baseline), want, rtol=0,
-        atol=STEP_TOL)
+    action, achieved, baseline = want
+    np.testing.assert_allclose((twin.action, out),
+                               (action, achieved - baseline), rtol=0,
+                               atol=STEP_TOL)
 
 
 def test_step_control_matches_single_loop_reference():
@@ -203,7 +205,7 @@ def test_step_control_matches_single_loop_reference():
                 _assert_matches_reference(twin, out, want)
                 side = np.sign(max(int(np.floor(grant + 1e-9)), 1) - k_prime)
                 if side == 0:   # criterion 6 needs zero regret, not small
-                    assert out.achieved == out.requested_baseline
+                    assert out == 0.0
                 seen.add(side)
     assert seen == {-1, 0, 1}
 
@@ -219,6 +221,37 @@ def test_step_control_matches_single_loop_reference():
         want = step_control_reference(x, c, k_prime, grant)
         _assert_matches_reference(twin, out, want)
         x = want[0]
+
+
+def test_increment_equals_pair_form_bit_for_bit():
+    # step_control returns achieved - baseline of the pair-returning closed
+    # form it replaced, with the same action, exactly; the golden fixtures
+    # skip the regret digest, so this is what pins regret's bits
+    rng = np.random.default_rng(1010)
+    cases = 0
+    for lo, hi in ((0.0, 10.0), (-0.7, 2.9)):
+        points = [lo, hi] + rng.uniform(lo, hi, 3).tolist()
+        k_primes = (1, 2, 9, 45, int(rng.integers(1, 400)))
+        # kappa 0.8 and 3 make multiplying by kappa / 2 inexact, which pins
+        # the operation order, not only the value
+        steps = ((0.2, 1.0), (0.1, 2.0), (0.25, 0.8), (1.0, 1.0), (0.5, 2.0),
+                 (1 / 3, 3.0), (1e-20, 1.0))
+        for (alpha, kappa), x0, c, k_prime in itertools.product(
+                steps, points, points, k_primes):
+            for grant in (0, 1e-12, k_prime - 1e-10, k_prime, k_prime + 3,
+                          1e15):
+                twin = DigitalTwin(0, step_alpha=alpha, curvature=kappa,
+                                   box_low=lo, box_high=hi)
+                twin._action = x0
+                twin.assign_task(k_prime, c)
+                out = step_control(twin, grant)
+                action, achieved, baseline = step_control_pair(
+                    x0, c, k_prime, grant, lo, hi, kappa, alpha)
+                assert type(out) is float
+                assert out == achieved - baseline
+                assert twin.action == action
+                cases += 1
+    assert cases == 2 * 7 * 5 * 5 * 5 * 6
 
 
 def test_reference_descent_never_needs_its_clamp():
@@ -263,10 +296,11 @@ def test_huge_grant_lands_on_target():
     twin = make_twin()
     for tick, c in enumerate((7.3, 0.0, 10.0, 2.5)):
         twin.assign_task(9, c)
+        _, achieved, baseline = step_control_pair(twin.action, c, 9, 1e15)
         out = step_control(twin, 1e15)
         assert twin.action == c
-        assert out.achieved == 0.0
-        assert out.regret_increment == -out.requested_baseline
+        assert achieved == 0.0
+        assert out == -baseline
 
 
 def test_action_stays_in_box_and_gap_nonnegative():
@@ -274,12 +308,13 @@ def test_action_stays_in_box_and_gap_nonnegative():
     rng = np.random.default_rng(9)
     targets = np.random.default_rng(123)
     for tick in range(60):
-        twin.assign_task(int(rng.integers(1, 40)),
-                         targets.uniform(0.0, 10.0))
+        c = targets.uniform(0.0, 10.0)
+        twin.assign_task(int(rng.integers(1, 40)), c)
         out = step_control(twin, float(rng.uniform(0, 50)))
         assert 0.0 <= twin.action <= 10.0
-        assert out.achieved >= -1e-12
-        assert out.requested_baseline >= -1e-12
+        achieved = 0.5 * (twin.action - c) ** 2
+        assert achieved >= -1e-12
+        assert out <= achieved + 1e-12      # baseline >= -1e-12
 
     # a step so small that q = 1 - alpha * kappa rounds to 1: c + (x - c)
     # can round past a box end, and the clamp must hold the action inside
@@ -312,13 +347,11 @@ def test_step_control_agrees_with_generic_solver():
 
 def test_update_regret_accumulates():
     regret = np.zeros(2)
-    for achieved in ([1.0, 2.0], [-0.5, 0.0], [0.5, -3.0]):
-        out = update_regret(regret, [PerformanceSample(a, 0.0)
-                                     for a in achieved])
+    for increments in ([1.0, 2.0], [-0.5, 0.0], [0.5, -3.0]):
+        out = update_regret(regret, increments)
         assert out is regret                        # in place
     assert regret.tolist() == [1.0, -1.0]
-    update_regret(regret, [PerformanceSample(0.25, 1.0),
-                           PerformanceSample(1.0, 0.25)])
+    update_regret(regret, [0.25 - 1.0, 1.0 - 0.25])
     assert regret.tolist() == [0.25, -0.25]         # achieved - baseline
 
 
@@ -329,8 +362,7 @@ def test_regret_telescopes():
     for t in range(200):
         achieved = rng.uniform(0, 4, 3).tolist()
         baseline = rng.uniform(0, 4, 3).tolist()
-        update_regret(regret, [PerformanceSample(a, b)
-                               for a, b in zip(achieved, baseline)])
+        update_regret(regret, [a - b for a, b in zip(achieved, baseline)])
         totals = [r + (a - b) for r, a, b in zip(totals, achieved, baseline)]
     assert regret.tolist() == totals
 
