@@ -8,16 +8,16 @@ the active allocation policy runs on the tick's reports (the walk row;
 persistence forecasts repeat it), every twin's controller steps with its
 grant, the regret array takes the tick's increments, then regret and
 allocation are recorded. The residual series is computed once, after the
-last tick. All randomness comes from
-named substreams of one master seed, so the walks are identical across
-policies and independent of execution order. Substream (seed, domain, i) is
-numpy's Generator(PCG64(SeedSequence((seed, domain, i)))).
+last tick. All randomness comes from named substreams of one master seed,
+so the walks are identical across policies and independent of execution
+order. Substream (seed, domain, i) is numpy's Generator(PCG64(SeedSequence(
+(seed, domain, i)))); the engine draws all of a walk's substreams at once
+in its own vectorised pass of the same hash and generator, bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -55,31 +55,24 @@ class SimulationError(RuntimeError):
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# numpy's PCG64: a 128-bit LCG with the XSL-RR 128/64 output
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32 = np.uint64(0xFFFFFFFF)
+_BLOCK = 4096  # elements per pass: larger uint64 temporaries leave the cache
 
 
-@functools.cache
-def _seed_words_class():
-    # defined on first use: naming np.random at import time would load it
-    class SeedWords(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words  # PCG64 asks for 4 uint64 words
-    return SeedWords
-
-
-def _streams(seed: int, domain: int, count: int) -> list[np.random.Generator]:
-    """Generator(PCG64(SeedSequence((seed, domain, i)))) for i < count, with
-    the SeedSequence hash run once over all indices on uint32 arrays."""
-    if not (0 <= count <= 2 ** 32 and 0 <= seed < 2 ** 64):
-        raise ValueError("need 0 <= seed < 2**64 and 0 <= count <= 2**32 "
-                         "(each index is one 32-bit word)")
+def _seed_words(seed: int, domains, indices) -> np.ndarray:
+    """(4, count) uint64: column j is SeedSequence((seed, domains[j],
+    indices[j])).generate_state(4, np.uint64), with the hash run once over
+    all columns on uint32 arrays."""
+    keys = np.array([domains, indices], dtype=np.int64)
+    if not (0 <= seed < 2 ** 64 and ((0 <= keys) & (keys < 2 ** 32)).all()):
+        raise ValueError("need 0 <= seed < 2**64 and 32-bit domain and index")
     # entropy: the seed's one or two 32-bit words, the domain, the index
     seed_words = [seed % 2 ** 32, seed >> 32] if seed >> 32 else [seed]
-    entropy = np.zeros((4, count), dtype=np.uint32)
-    entropy[:len(seed_words) + 1] = np.array(seed_words + [domain])[:, None]
-    entropy[len(seed_words) + 1] = np.arange(count)
+    entropy = np.zeros((4, keys.shape[1]), dtype=np.uint32)
+    entropy[:len(seed_words)] = np.array(seed_words)[:, None]
+    entropy[len(seed_words):len(seed_words) + 2] = keys
     hash_const = _INIT_A
 
     def hashmix(value, mult=_MULT_A):
@@ -96,18 +89,99 @@ def _streams(seed: int, domain: int, count: int) -> list[np.random.Generator]:
     hash_const = _INIT_B  # generate_state(4, np.uint64) reads 8 pool words
     state = np.array([hashmix(pool[j % 4], _MULT_B) for j in range(8)],
                      dtype=np.uint64)
-    # each uint64 word is a little-endian pair of uint32 words; PCG64 reads
-    # a row's buffer directly, so the rows must be contiguous
-    words = np.ascontiguousarray((state[1::2] << 32 | state[0::2]).T)
-    return [np.random.Generator(np.random.PCG64(_seed_words_class()(row)))
-            for row in words]
+    # each uint64 word is a little-endian pair of uint32 words
+    return state[1::2] << 32 | state[0::2]
+
+
+def _mul64(a, b):
+    """High and low words of the 128-bit products a * b of uint64 words."""
+    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    carry = a0 * b1 + (mid & _LOW32)
+    return a1 * b1 + (mid >> 32) + (carry >> 32), a * b
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    hi, lo = _mul64(a_lo, b_lo)
+    return hi + a_lo * b_hi + a_hi * b_lo, lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg64(words: np.ndarray) -> np.ndarray:
+    """(4, count) rows state hi, state lo, inc hi, inc lo: each column's
+    PCG64 seeded from its seed words as numpy's pcg64_set_seed does: from
+    state 0, one step (to inc), add the seed words, one more step."""
+    inc = words[2] << 1 | words[3] >> 63, words[3] << 1 | 1
+    return _pcg64_outputs(np.array([*_add128(*inc, *words[:2]), *inc]), 1)[1]
+
+
+def _pcg64_outputs(streams: np.ndarray, count: int):
+    """(streams, count) uint64: every stream's next count outputs, and the
+    streams advanced past them. Step j from state s lands on A_j s + B_j inc,
+    A_j = M**j and B_j = 1 + ... + M**(j-1) mod 2**128, in blocks of _BLOCK."""
+    cols, mult, add, table = max(1, min(count, 256)), _PCG_MULT, 1, []
+    for _ in range(cols):  # A_j, B_j for j = 1..cols
+        table += mult >> 64, mult & 2 ** 64 - 1, add >> 64, add & 2 ** 64 - 1
+        mult, add = mult * _PCG_MULT & 2 ** 128 - 1, add + mult & 2 ** 128 - 1
+    a_hi, a_lo, b_hi, b_lo = np.array(table, dtype=np.uint64).reshape(-1, 4).T
+    n = streams.shape[1]
+    out, streams = np.empty((n, count), dtype=np.uint64), streams.copy()
+    step = max(1, _BLOCK // cols)  # rows per block
+    for r in range(0, n, step):
+        hi, lo, inc_hi, inc_lo = streams[:, r:r + step, None]
+        for c in range(0, count, cols):
+            m = min(cols, count - c)
+            hi, lo = _add128(*_mul128(a_hi[:m], a_lo[:m], hi, lo),
+                             *_mul128(b_hi[:m], b_lo[:m], inc_hi, inc_lo))
+            x, rot = hi ^ lo, hi >> 58
+            out[r:r + step, c:c + m] = x >> rot | x << (64 - rot & 63)
+            hi, lo = hi[:, -1:], lo[:, -1:]
+        streams[:2, r:r + step] = hi[:, 0], lo[:, 0]
+    return out, streams
+
+
+def _integers(streams: np.ndarray, lo: int, hi: int, size: int) -> np.ndarray:
+    """(streams, size) int64: Generator.integers(lo, hi, endpoint=True,
+    size=size) on every stream by numpy's Lemire method, each stream past
+    its own rejections; ranges below 2**32 use 32-bit halves, low first."""
+    span = hi - lo + 1
+    bits = 32 if span <= 2 ** 32 else 64
+    threshold = (2 ** bits - span) % span
+    if span == 1 or size == 0:
+        return np.full((streams.shape[1], size), lo, dtype=np.int64)
+    values, kept, need = [], [], size
+    while need > 0:
+        raw, streams = _pcg64_outputs(streams, -(-need * bits // 64))
+        if bits == 32:
+            words = np.stack([raw & _LOW32, raw >> 32], axis=2)
+            product = words.reshape(len(raw), -1) * np.uint64(span)
+            value, left = product >> 32, product & _LOW32
+        else:
+            value, left = _mul64(raw, np.uint64(span))
+        values.append(value)
+        kept.append(left >= threshold)
+        need = size - sum(k.sum(axis=1) for k in kept).min()
+    value, kept = np.hstack(values), np.hstack(kept)
+    if not kept[:, :size].all():
+        value = value[kept & (kept.cumsum(axis=1) <= size)]
+    value = value.reshape(streams.shape[1], -1)[:, :size]
+    return (value + np.uint64(lo % 2 ** 64)).view(np.int64)
+
+
+def _uniform(streams: np.ndarray, lo: float, hi: float, size: int):
+    """(streams, size): Generator.uniform(lo, hi, size) on every stream."""
+    raw = _pcg64_outputs(streams, size)[0]
+    return lo + (hi - lo) * ((raw >> 11) * 2.0 ** -53)
 
 
 def draw_initial_requirements(config: ScenarioConfig, seed: int) -> np.ndarray:
     """Integer starting requirements from the scenario's own substream."""
-    lo, hi = config.initial_requirement_range
-    rng, = _streams(seed, _DOMAIN_SCENARIO, 1)
-    return rng.integers(lo, hi, endpoint=True, size=config.n_resources)
+    return _integers(_pcg64(_seed_words(seed, [_DOMAIN_SCENARIO], [0])),
+                     *config.initial_requirement_range, config.n_resources)[0]
 
 
 def evolve_requirements(current, tick: int, config: ScenarioConfig,
@@ -142,14 +216,18 @@ def requirement_walk(config: ScenarioConfig, seed: int) -> np.ndarray:
     d = config.requirement_step_bound
     lo, hi = config.requirement_range
     first = min(max(config.stationary_prefix, 1), n_ticks)  # first step tick
-    steps = np.zeros((n_ticks, n), dtype=np.int64)
-    for i, rng in enumerate(_streams(seed, _DOMAIN_RESOURCE_WALK, n)):
-        steps[first:, i] = rng.integers(-d, d, endpoint=True,
-                                        size=n_ticks - first)
-    walk = np.empty((n_ticks, n), dtype=np.int64)
-    walk[0] = draw_initial_requirements(config, seed)
-    for t in range(1, n_ticks):
-        walk[t] = np.clip(walk[t - 1] + steps[t], lo, hi)
+    # the n walk substreams and the scenario substream, hashed in one pass
+    streams = _pcg64(_seed_words(
+        seed, [_DOMAIN_RESOURCE_WALK] * n + [_DOMAIN_SCENARIO],
+        [*range(n), 0]))
+    walk = np.zeros((n_ticks, n), dtype=np.int64)  # rows t >= 1: steps
+    walk[first:] = _integers(streams[:, :n], -d, d, n_ticks - first).T
+    walk[0] = _integers(streams[:, n:], *config.initial_requirement_range,
+                        n)[0]
+    for prev, row in zip(walk, walk[1:]):  # step + previous row, clamped
+        np.add(prev, row, out=row)
+        np.maximum(row, lo, out=row)
+        np.minimum(row, hi, out=row)
     return walk
 
 
@@ -159,12 +237,9 @@ def target_walk(config: ScenarioConfig, seed: int) -> np.ndarray:
     Column i is one block draw on twin i's target substream, which yields
     the same values as one scalar draw per tick.
     """
-    targets = np.empty((config.n_ticks, config.n_resources))
-    for i, rng in enumerate(
-            _streams(seed, _DOMAIN_TWIN_TARGETS, config.n_resources)):
-        targets[:, i] = rng.uniform(DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH,
-                                    size=config.n_ticks)
-    return targets
+    n, n_ticks = config.n_resources, config.n_ticks
+    streams = _pcg64(_seed_words(seed, [_DOMAIN_TWIN_TARGETS] * n, range(n)))
+    return _uniform(streams, DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH, n_ticks).T
 
 
 @dataclass(frozen=True)

@@ -181,14 +181,13 @@ def summarize(results: dict[PolicyKind, SimResult]) -> str:
 def build_manifest(command: str, config: ScenarioConfig, seed: int,
                    outputs: dict[str, str],
                    results: dict[PolicyKind, SimResult]) -> dict:
-    summary = {
-        kind.value: {
-            "mean_residual_after_prefix":
-                results[kind].mean_residual_after_prefix,
-            "reallocations": len(results[kind].reallocation_ticks),
-        }
-        for kind in results
-    }
+    summary = {}
+    for kind, result in results.items():
+        mean = result.mean_residual_after_prefix
+        summary[kind.value] = {
+            # no tick after the prefix leaves the mean undefined: JSON null
+            "mean_residual_after_prefix": None if np.isnan(mean) else mean,
+            "reallocations": len(result.reallocation_ticks)}
     return {
         "command": command,
         "seed": seed,
@@ -199,6 +198,6 @@ def build_manifest(command: str, config: ScenarioConfig, seed: int,
 
 
 def write_manifest(path, manifest: dict) -> None:
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

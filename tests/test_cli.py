@@ -233,19 +233,50 @@ def test_overflowing_rho_exits_config_without_outputs(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_import_and_load_leave_numpy_random_unloaded(cli_env):
-    # importing numpy.random costs about 16 ms, paid only once a walk is drawn
+def test_import_and_load_leave_numpy_random_unloaded(cli_env, tmp_path):
+    # importing numpy.random costs about 10 ms of every run; the walks are
+    # drawn without it
     _, scenario, _ = cli_env
     src = str(Path(twinalloc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, twinalloc.cli as cli; "
             f"cli.load_scenario({str(scenario)!r}); "
+            "print('numpy.random' in sys.modules); "
+            f"assert cli.main(['simulate', '--scenario', {str(scenario)!r}, "
+            f"'--policy', 'event', '--out', {str(tmp_path / 'sim')!r}]) == 0; "
+            f"assert cli.main(['compare', '--scenario', {str(scenario)!r}, "
+            f"'--out', {str(tmp_path / 'cmp')!r}]) == 0; "
             "print('numpy.random' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[0] == "False"
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def reject_constant(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+@pytest.mark.parametrize("command", [["compare"],
+                                     ["simulate", "--policy", "event"]])
+def test_manifest_is_strict_json_without_post_prefix_ticks(tmp_path, capsys,
+                                                           command):
+    # every tick lies in the prefix, so no post-prefix mean exists
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"n_ticks": 5, "stationary_prefix": 5}')
+    out = tmp_path / "out"
+    code = main([command[0], "--scenario", str(scenario), "--out", str(out),
+                 *command[1:]])
+    assert code == 0
+    capsys.readouterr()
+    text = (out / "manifest.json").read_text(encoding="utf-8")
+    manifest = json.loads(text, parse_constant=reject_constant)
+    means = [entry["mean_residual_after_prefix"]
+             for entry in manifest["summary"].values()]
+    assert means and all(mean is None for mean in means)
+    assert len(means) == (4 if command == ["compare"] else 1)
 
 
 def test_unknown_policy_rejected_by_parser(cli_env):

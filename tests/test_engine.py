@@ -156,16 +156,86 @@ def test_target_walk_matches_scalar_draws(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1,
                                   0x9E3779B97F4A7C15])   # last: arbitrary
 def test_streams_match_per_index_seed_sequence(seed, domain, count):
-    streams = engine._streams(seed, domain, count)
-    assert len(streams) == count
-    for i, rng in enumerate(streams):
-        ref = np.random.PCG64(np.random.SeedSequence((seed, domain, i)))
-        assert rng.bit_generator.state == ref.state
+    words = engine._seed_words(seed, [domain] * count, range(count))
+    streams = engine._pcg64(words)
+    raw, advanced = engine._pcg64_outputs(streams, 5)
+    assert words.shape == streams.shape == (4, count)
+    assert raw.shape == (count, 5)
+    for i in range(count):
+        seq = np.random.SeedSequence((seed, domain, i))
+        np.testing.assert_array_equal(words[:, i],
+                                      seq.generate_state(4, np.uint64))
+        ref = np.random.PCG64(seq)
+        state = ref.state["state"]
+        assert int(streams[0, i]) << 64 | int(streams[1, i]) == state["state"]
+        assert int(streams[2, i]) << 64 | int(streams[3, i]) == state["inc"]
+        np.testing.assert_array_equal(raw[i], ref.random_raw(5))
+        state = ref.state["state"]   # advanced past the five outputs
+        assert int(advanced[0, i]) << 64 | int(advanced[1, i]) == state["state"]
+        np.testing.assert_array_equal(advanced[2:, i], streams[2:, i])
 
 
 def test_streams_refuse_indices_beyond_one_word():
     with pytest.raises(ValueError):
-        engine._streams(0, 0, 2**32 + 1)
+        engine._seed_words(0, [0], [2**32])
+    with pytest.raises(ValueError):
+        engine._seed_words(0, [2**32], [0])
+    with pytest.raises(ValueError):
+        engine._seed_words(2**64, [0], [0])
+
+
+def test_streams_mix_domains_in_one_pass():
+    words = engine._seed_words(2**32 + 5, [0, 0, 2, 1], [0, 3, 0, 3])
+    for j, (domain, index) in enumerate([(0, 0), (0, 3), (2, 0), (1, 3)]):
+        seq = np.random.SeedSequence((2**32 + 5, domain, index))
+        np.testing.assert_array_equal(words[:, j],
+                                      seq.generate_state(4, np.uint64))
+
+
+def reference_generator(seed, domain, index):
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence((seed, domain, index))))
+
+
+# ranges 2**31 and 2**63 reject about half of the 32- and 64-bit words
+@pytest.mark.parametrize("span", [0, 2, 10, 2**31, 2**32 - 2, 2**32 - 1,
+                                  2**32, 2**40, 2**63 - 1, 2**63])
+@pytest.mark.parametrize("count", [1, 257])
+def test_draws_match_numpy_generator(span, count):
+    seed = 2**32 + 5
+    streams = engine._pcg64(engine._seed_words(seed, [0] * count,
+                                               range(count)))
+    for lo in (-(span // 2), min(0, 2**63 - 1 - span)):
+        for size in (0, 1, 7, 40, 1001):   # 1001: two column blocks
+            got = engine._integers(streams, lo, lo + span, size)
+            assert got.dtype == np.int64 and got.shape == (count, size)
+            floats = engine._uniform(streams, -2.5, 7.0, size)
+            assert floats.shape == (count, size)
+            for i in (0, count // 2, count - 1):
+                np.testing.assert_array_equal(
+                    got[i], reference_generator(seed, 0, i).integers(
+                        lo, lo + span, endpoint=True, size=size))
+                assert floats[i].tolist() == reference_generator(
+                    seed, 0, i).uniform(-2.5, 7.0, size=size).tolist()
+
+
+def test_wide_walk_matches_scalar_draws():
+    # d = 2**40 and an initial range wider than 2**32: 64-bit draws
+    cfg = ScenarioConfig(n_resources=5, n_ticks=30, stationary_prefix=2,
+                         requirement_step_bound=2**40,
+                         requirement_range=(1, 2**50),
+                         initial_requirement_range=(2**45, 2**45 + 2**34))
+    for seed in (0, 2**64 - 1):
+        walk = requirement_walk(cfg, seed)
+        cur = reference_generator(seed, 2, 0).integers(
+            2**45, 2**45 + 2**34, endpoint=True, size=5)
+        np.testing.assert_array_equal(draw_initial_requirements(cfg, seed),
+                                      cur)
+        rngs = [reference_generator(seed, 0, i) for i in range(5)]
+        expected = [cur]
+        for t in range(1, 30):
+            expected.append(evolve_requirements(expected[-1], t, cfg, rngs))
+        np.testing.assert_array_equal(walk, np.array(expected))
 
 
 # ---------------------------------------------------------------- hand traces
