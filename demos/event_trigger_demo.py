@@ -5,8 +5,8 @@ estimator predicted at each event, and how the post-prefix residual compares
 against re-solving every tick.
 """
 
-from twinalloc import (EventHistory, PolicyKind, ScenarioConfig,
-                       compare_policies, estimate_event_horizon)
+from twinalloc import (PolicyKind, ScenarioConfig, compare_policies,
+                       estimate_event_horizon)
 
 
 def main():
@@ -15,11 +15,11 @@ def main():
     event = results[PolicyKind.EVENT_TRIGGERED]
     online = results[PolicyKind.ONLINE_DYNAMIC]
 
-    print(f"reallocation ticks: {list(event.reallocation_ticks)}")
-    history = EventHistory()
-    for tick in event.reallocation_ticks:
-        horizon = estimate_event_horizon(history)
-        history.record(tick)
+    ticks = list(event.reallocation_ticks)
+    print(f"reallocation ticks: {ticks}")
+    for i, tick in enumerate(ticks):
+        # each re-solve's estimate sees only the events before it
+        horizon = estimate_event_horizon(ticks[:i])
         print(f"  tick {tick:>3}: horizon used for this re-solve = {horizon}")
 
     print(f"\nmean residual after tick {config.stationary_prefix}:")

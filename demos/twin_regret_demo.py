@@ -16,7 +16,7 @@ TICKS = 25
 
 
 def run(grant_offset: int, seed: int = 11):
-    twin = DigitalTwin(0)
+    twin = DigitalTwin()
     setpoints = np.random.default_rng(seed).uniform(0.0, 10.0, TICKS)
     loads = np.random.default_rng(99).integers(8, 30, TICKS)
     regret = np.zeros(1)

@@ -13,12 +13,11 @@ from .core import (DEFAULT_MAX_DEVIATION, DEFAULT_SLACK_PENALTY,
                    ScenarioValidationError, compute_residual,
                    validate_scenario)
 from .engine import (SimResult, SimulationError, compare_policies,
-                     draw_initial_requirements, evolve_requirements,
-                     load_scenario, requirement_walk, run_scenario,
-                     save_scenario, scenario_from_dict, scenario_to_dict,
-                     target_walk)
-from .manager import (EventHistory, PolicyKind, allocate_equal,
-                      allocate_event, allocate_online, allocate_static,
+                     evolve_requirements, load_scenario, requirement_walk,
+                     run_scenario, save_scenario, scenario_from_dict,
+                     scenario_to_dict, target_walk)
+from .manager import (PolicyKind, allocate_equal, allocate_event,
+                      allocate_online, allocate_static,
                       estimate_event_horizon, should_trigger)
 from .report import (build_manifest, config_digest, render_comparison_svg,
                      render_metrics_csv, summarize, write_manifest,
@@ -35,18 +34,18 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationConstraints", "BoxSet", "DEFAULT_MAX_DEVIATION",
     "DEFAULT_SLACK_PENALTY", "DigitalTwin", "DimensionMismatch",
-    "EventHistory", "InfeasibleSetError", "PGAConfig", "PGAResult",
-    "PolicyKind", "ScenarioConfig", "ScenarioValidationError", "SimResult",
+    "InfeasibleSetError", "PGAConfig", "PGAResult", "PolicyKind",
+    "ScenarioConfig", "ScenarioValidationError", "SimResult",
     "SimulationError", "SmoothConvexProblem", "SolverError",
-    "allocate_equal", "allocate_event", "allocate_online", "allocate_static",
-    "build_manifest", "check_satisfaction", "compare_policies",
-    "compute_requirement", "compute_residual", "config_digest",
-    "draw_initial_requirements", "estimate_event_horizon",
-    "evolve_requirements", "forecast_requirements", "iterations_for_delta",
-    "load_scenario", "pga_solve", "project_capped_simplex", "regret_budgets",
+    "allocate_equal", "allocate_event", "allocate_online",
+    "allocate_static", "build_manifest", "check_satisfaction",
+    "compare_policies", "compute_requirement", "compute_residual",
+    "config_digest", "estimate_event_horizon", "evolve_requirements",
+    "forecast_requirements", "iterations_for_delta", "load_scenario",
+    "pga_solve", "project_capped_simplex", "regret_budgets",
     "render_comparison_svg", "render_metrics_csv", "requirement_walk",
-    "run_scenario", "save_scenario", "scenario_from_dict", "scenario_to_dict",
-    "should_trigger", "step_control", "summarize", "target_walk",
-    "update_regret", "validate_scenario", "write_manifest",
+    "run_scenario", "save_scenario", "scenario_from_dict",
+    "scenario_to_dict", "should_trigger", "step_control", "summarize",
+    "target_walk", "update_regret", "validate_scenario", "write_manifest",
     "write_metrics_csv",
 ]

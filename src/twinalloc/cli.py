@@ -1,8 +1,8 @@
 """Command-line front end: single-policy runs and the four-way comparison.
 
-Exit codes: 0 success, 1 invalid scenario/config, 2 I/O failure, 3 solver
-failure. The scenario file is read and validated before any output path is
-touched, so failed invocations leave no partial files.
+Exit codes: 0 success, 1 invalid scenario/config or command line, 2 I/O
+failure, 3 solver failure. The scenario file is read and validated before
+any output path is touched, so failed invocations leave no partial files.
 """
 
 from __future__ import annotations
@@ -31,8 +31,14 @@ def _seed_value(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error, so not argparse's 2 (EXIT_IO)
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twinalloc",
         description="Controller-aware network resource allocation simulator")
     sub = parser.add_subparsers(dest="command", required=True)

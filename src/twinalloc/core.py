@@ -113,7 +113,13 @@ def _is_integer(value) -> bool:
 def _is_finite(value) -> bool:
     # integers first: math.isfinite overflows on ints beyond float range
     return _is_integer(value) or (isinstance(value, numbers.Real)
+                                  and not isinstance(value, bool)
                                   and math.isfinite(value))
+
+
+def _is_integer_pair(value) -> bool:
+    return (isinstance(value, (tuple, list)) and len(value) == 2
+            and all(map(_is_integer, value)))
 
 
 def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
@@ -121,8 +127,7 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
     diags = [f"{key} must be an integer" for key in _INT_FIELDS
              if not _is_integer(getattr(config, key))]
     diags += [f"{key} must be a pair of integers" for key in _RANGE_FIELDS
-              if not (len(getattr(config, key)) == 2
-                      and all(map(_is_integer, getattr(config, key))))]
+              if not _is_integer_pair(getattr(config, key))]
     diags += [f"{key} must be a finite number" for key in _FLOAT_FIELDS
               if not _is_finite(getattr(config, key))]
     diags += [f"{key} must be a finite number when given"

@@ -30,8 +30,8 @@ from .core import (_FLOAT_FIELDS, _INT_FIELDS, _OPTIONAL_FLOAT_FIELDS,
                    AllocationConstraints, ScenarioConfig,
                    ScenarioValidationError, compute_residual,
                    validate_scenario)
-from .manager import (EventHistory, PolicyKind, allocate_equal,
-                      allocate_event, allocate_online, allocate_static,
+from .manager import (PolicyKind, allocate_equal, allocate_event,
+                      allocate_online, allocate_static,
                       estimate_event_horizon, should_trigger)
 from .twin import (DEFAULT_BOX_HIGH, DEFAULT_BOX_LOW, DigitalTwin,
                    compute_requirement, forecast_requirements, regret_budgets,
@@ -178,12 +178,6 @@ def _uniform(streams: np.ndarray, lo: float, hi: float, size: int):
     return lo + (hi - lo) * ((raw >> 11) * 2.0 ** -53)
 
 
-def draw_initial_requirements(config: ScenarioConfig, seed: int) -> np.ndarray:
-    """Integer starting requirements from the scenario's own substream."""
-    return _integers(_pcg64(_seed_words(seed, [_DOMAIN_SCENARIO], [0])),
-                     *config.initial_requirement_range, config.n_resources)[0]
-
-
 def evolve_requirements(current, tick: int, config: ScenarioConfig,
                         rng_streams) -> np.ndarray:
     """One tick of the bounded integer random walk per resource.
@@ -282,7 +276,7 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
     n = config.n_resources
     n_ticks = config.n_ticks
 
-    twins = [DigitalTwin(i) for i in range(n)]
+    twins = [DigitalTwin() for _ in range(n)]
     # a Python int sum is exact where an int64 sum could wrap
     capacity = (float(config.capacity_b) if config.capacity_b is not None
                 else float(sum(requirement_series[0].tolist())))
@@ -298,11 +292,9 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
 
     regret_series = np.empty((n_ticks, n))
     allocation_series = np.empty((n_ticks, n))
-    realloc_ticks: list[int] = []
+    realloc_ticks: list[int] = []  # for event: its events, ascending
 
-    history = EventHistory()
     held_alloc = None         # current fixed allocation (equal/static/event)
-    tau_last = 0              # tick of the last reallocation event
 
     for t in range(n_ticks):
         try:
@@ -321,15 +313,13 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
             elif policy is PolicyKind.EVENT_TRIGGERED:
                 if held_alloc is None:
                     held_alloc = allocate_static(k_prime[t], capacity)
-                elif should_trigger(regret, epsilon, t - tau_last,
-                                    history.max_reallocation_period):
-                    horizon = estimate_event_horizon(history)
+                elif should_trigger(regret, epsilon, t - (
+                        realloc_ticks[-1] if realloc_ticks else 0)):
+                    horizon = estimate_event_horizon(realloc_ticks)
                     held_alloc = allocate_event(
                         forecast_requirements(k_prime[t], horizon),
                         k_lower[t], constraints, horizon)
-                    history.record(t)
                     realloc_ticks.append(t)
-                    tau_last = t
                     regret[:] = 0.0
                 alloc = held_alloc
             else:

@@ -5,13 +5,14 @@ nonnegative allocations, plus soft minimum-grant and maximum-shortfall bounds
 relaxed through a quadratic slack penalty. The slack vector has one entry per
 soft constraint row (n lower-bound rows followed by n deviation rows) and is
 eliminated analytically as the positive part of each violation.
+
+The event trigger's period cap, the horizon estimate's window and its
+default before two events are fixed module constants.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from dataclasses import dataclass, field
-from math import floor
 
 import numpy as np
 
@@ -29,33 +30,6 @@ class PolicyKind(Enum):
     STATIC = "static"
     EVENT_TRIGGERED = "event"
     ONLINE_DYNAMIC = "online"
-
-
-@dataclass
-class EventHistory:
-    """Reallocation event log plus the estimator/trigger parameters."""
-
-    event_ticks: list[int] = field(default_factory=list)
-    window_m: int = DEFAULT_WINDOW_M
-    default_horizon: int = DEFAULT_HORIZON
-    max_reallocation_period: int = DEFAULT_MAX_REALLOCATION_PERIOD
-
-    def __post_init__(self):
-        if self.window_m < 1:
-            raise ValueError("window_m must be >= 1")
-        if self.default_horizon < 1:
-            raise ValueError("default_horizon must be >= 1")
-        if self.max_reallocation_period < 1:
-            raise ValueError("max_reallocation_period must be >= 1")
-        ticks = list(self.event_ticks)
-        if any(b <= a for a, b in zip(ticks, ticks[1:])):
-            raise ValueError("event_ticks must be strictly ascending")
-        self.event_ticks = ticks
-
-    def record(self, tick: int) -> None:
-        if self.event_ticks and tick <= self.event_ticks[-1]:
-            raise ValueError("event ticks must be strictly ascending")
-        self.event_ticks.append(tick)
 
 
 def allocate_equal(n: int, capacity_b: float) -> np.ndarray:
@@ -124,27 +98,23 @@ def allocate_event(forecast, lower_bounds, constraints: AllocationConstraints,
     return a
 
 
-def estimate_event_horizon(history: EventHistory) -> int:
-    """Average inter-event gap over the recent window, floored at 1.
+def estimate_event_horizon(event_ticks) -> int:
+    """Average inter-event gap over the last DEFAULT_WINDOW_M ascending
+    event ticks, floored at 1.
 
     The averaging divides the window's gap total by the event count m (not
     the gap count m-1); with fewer than two recorded events there is nothing
-    to average and the default horizon applies.
+    to average and DEFAULT_HORIZON applies.
     """
-    ticks = history.event_ticks
-    if len(ticks) < 2:
-        return history.default_horizon
-    recent = ticks[-min(history.window_m, len(ticks)):]
-    m = len(recent)
-    total = recent[-1] - recent[0]
-    return max(int(floor(total / m)), 1)
+    if len(event_ticks) < 2:
+        return DEFAULT_HORIZON
+    recent = event_ticks[-DEFAULT_WINDOW_M:]
+    return max((recent[-1] - recent[0]) // len(recent), 1)
 
 
-def should_trigger(regret, epsilon, ticks_since_event: int,
-                   max_reallocation_period: int = DEFAULT_MAX_REALLOCATION_PERIOD
-                   ) -> bool:
+def should_trigger(regret, epsilon, ticks_since_event: int) -> bool:
     """Reallocate when any twin's regret budget is blown or on the period cap."""
-    if ticks_since_event >= max_reallocation_period:
+    if ticks_since_event >= DEFAULT_MAX_REALLOCATION_PERIOD:
         return True
     if ticks_since_event < 1:
         return False

@@ -4,10 +4,11 @@ Each tick a twin receives a fresh quadratic tracking task: the plant
 floor's iteration requirement and a setpoint, both pre-drawn by the engine.
 It takes however many descent iterations the network manager granted and
 returns the tick's regret increment: its performance gap minus that of the
-counterfactual run that got everything it asked for. Gradient descent on
-the twin's 1-d quadratic contracts linearly, so both runs are evaluated in
-closed form, in O(1) whatever the grant. Requirements, floors, regret and
-regret budgets are arrays over all twins, held by the caller.
+counterfactual run that got everything it asked for. Every twin descends
+on f(x) = kappa/2 (x - c)^2 over one box with one step, fixed module
+constants, so descent contracts by one factor q per step and both runs are
+evaluated in closed form, in O(1) whatever the grant. Requirements, floors,
+regret and regret budgets are arrays over all twins, held by the caller.
 """
 
 from __future__ import annotations
@@ -23,13 +24,17 @@ from .solver import iterations_for_delta  # noqa: F401
 # Default per-step regret budget as a fraction of the twin's initial solve
 # tolerance, so the trigger threshold scales with each twin's own stakes.
 DEFAULT_EPSILON_FACTOR = 0.1
-# Default descent step for the twin task. Well below 1/L (curvature 1), so
+# Descent step of every twin's task. Well below 1/L (curvature 1), so
 # granted-iteration shortfalls leave a visible suboptimality gap.
 DEFAULT_TWIN_STEP_ALPHA = 0.2
+_CURVATURE = 1.0
+# per-step contraction q = 1 - alpha * kappa and the gap's factor kappa / 2
+_Q = 1.0 - DEFAULT_TWIN_STEP_ALPHA * _CURVATURE
+_HALF_KAPPA = 0.5 * _CURVATURE
 # Lifts a grant a rounding error below an integer up to it before floor:
 # allocations that are integers in exact arithmetic come out a few ulps off.
 _FLOOR_GUARD = 1e-9
-# Default task box, shared by DigitalTwin and the engine's setpoint walk.
+# Task box, shared by DigitalTwin and the engine's setpoint walk.
 DEFAULT_BOX_LOW = 0.0
 DEFAULT_BOX_HIGH = 10.0
 
@@ -44,24 +49,8 @@ class DigitalTwin:
     previously applied action.
     """
 
-    def __init__(self, resource_id: int,
-                 step_alpha: float = DEFAULT_TWIN_STEP_ALPHA,
-                 box_low: float = DEFAULT_BOX_LOW,
-                 box_high: float = DEFAULT_BOX_HIGH, curvature: float = 1.0):
-        if not box_high > box_low:
-            raise ValueError("task box must have positive width")
-        if not curvature > 0:
-            raise ValueError("curvature must be positive")
-        if not 0 < step_alpha <= 1.0 / curvature:
-            raise ValueError("step_alpha must lie in (0, 1/L]")
-        self.resource_id = resource_id
-        self.step_alpha = float(step_alpha)
-        self.curvature = float(curvature)
-        self.box_low = float(box_low)
-        self.box_high = float(box_high)
-        # Euclidean diameter of the 1-d box [box_low, box_high]
-        self.diameter = self.box_high - self.box_low
-        self._action = 0.5 * (box_low + box_high)
+    def __init__(self):
+        self._action = 0.5 * (DEFAULT_BOX_LOW + DEFAULT_BOX_HIGH)
         self._target: float | None = None
         self._k_prime: int | None = None
 
@@ -78,7 +67,7 @@ class DigitalTwin:
         k_prime = index(required_iterations)  # TypeError unless integral
         if k_prime < 1:
             raise ValueError("required_iterations must be >= 1")
-        if not self.box_low <= target <= self.box_high:  # also rejects NaN
+        if not DEFAULT_BOX_LOW <= target <= DEFAULT_BOX_HIGH:  # and NaN
             raise ValueError("target must lie in the task box")
         self._target = target
         self._k_prime = k_prime
@@ -92,7 +81,7 @@ def regret_budgets(first_requirements, epsilon_per_step: float | None
                    ) -> np.ndarray:
     """Each twin's per-tick regret budget: epsilon_per_step, or by default
     DEFAULT_EPSILON_FACTOR times the solve tolerance D^2 / (2 alpha k') of
-    its first requirement on the default task box and step."""
+    its first requirement on the twins' task box and step."""
     k0 = np.asarray(first_requirements, dtype=float)
     if epsilon_per_step is not None:
         return np.full(k0.shape, float(epsilon_per_step))
@@ -118,7 +107,7 @@ def step_control(twin: DigitalTwin, granted: float) -> float:
     start, so granting exactly k' gives an increment of exactly 0. Both
     gaps are f(x) - f(x*) with x* = target, so f(x*) = 0.
 
-    With q = 1 - alpha * kappa in [0, 1) and x, target both in the box, each
+    With q = 1 - alpha * kappa in (0, 1) and x, target both in the box, each
     step x - alpha * kappa * (x - c) is a convex combination of x and c, so
     the box constraint never binds and k steps give c + q^k (x - c). Each
     end is clamped to the box once, against rounding only.
@@ -130,19 +119,17 @@ def step_control(twin: DigitalTwin, granted: float) -> float:
     if twin._k_prime is None:
         raise RuntimeError("no task assigned yet")
     g = floor(granted + _FLOOR_GUARD) or 1   # floor is >= 0: lifts 0 to 1
-    q = 1.0 - twin.step_alpha * twin.curvature
-    c, lo, hi = twin._target, twin.box_low, twin.box_high
+    c, lo, hi = twin._target, DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH
     d0 = twin._action - c
-    x_granted = c + q ** g * d0
-    x_requested = c + q ** twin._k_prime * d0
+    x_granted = c + _Q ** g * d0
+    x_requested = c + _Q ** twin._k_prime * d0
     # conditional expressions, not min/max calls: this runs every twin-tick
     x_granted = lo if x_granted < lo else hi if x_granted > hi else x_granted
     x_requested = (lo if x_requested < lo else hi if x_requested > hi
                    else x_requested)
     twin._action = x_granted
-    half_kappa = 0.5 * twin.curvature
-    return (half_kappa * (x_granted - c) ** 2
-            - half_kappa * (x_requested - c) ** 2)
+    return (_HALF_KAPPA * (x_granted - c) ** 2
+            - _HALF_KAPPA * (x_requested - c) ** 2)
 
 
 def update_regret(regret: np.ndarray, increments) -> np.ndarray:

@@ -200,7 +200,7 @@ def test_criterion_6_zero_regret_on_full_grant():
     try:
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
-            twins = [DigitalTwin(i) for i in range(5)]
+            twins = [DigitalTwin() for _ in range(5)]
             targets = [np.random.default_rng((seed, i)) for i in range(5)]
             regret = np.zeros(len(twins))
             for tick in range(50):

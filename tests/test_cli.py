@@ -280,16 +280,55 @@ def test_manifest_is_strict_json_without_post_prefix_ticks(tmp_path, capsys,
 
 
 def test_unknown_policy_rejected_by_parser(cli_env):
+    # a usage error is a config error (1); 2 is the I/O-failure code
     _, scenario, _ = cli_env
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scenario", str(scenario), "--policy", "greedy"])
+    assert exc.value.code == 1
 
 
 def test_bad_seed_rejected_by_parser(cli_env):
     _, scenario, _ = cli_env
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scenario", str(scenario), "--policy", "equal",
               "--seed", "-4"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frobnicate"], ["compare"], ["simulate", "--scenario", "s.json"],
+    ["compare", "--scenario", "s.json", "--workers", "2"],
+    ["compare", "--scenario", "s.json", "--seed", "x"],
+    ["compare", "--scenario", "s.json", "--seed", str(2**64)],
+    ["compare", "--scenario", "s.json", "--bogus"],
+])
+def test_usage_errors_exit_config(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage: twinalloc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["compare", "-h"],
+                                  ["simulate", "--help"]])
+def test_help_exits_ok(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: twinalloc" in capsys.readouterr().out
+
+
+def test_usage_error_exit_code_from_the_command_line(tmp_path):
+    # the process exit status, not only the in-process SystemExit
+    src = str(Path(twinalloc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twinalloc.cli", "simulate", "--scenario",
+         str(tmp_path / "missing.json"), "--policy", "greedy"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "invalid choice: 'greedy'" in proc.stderr
 
 
 # ------------------------------------------------------------ report helpers

@@ -89,3 +89,37 @@ def test_scenario_invariant_diagnostics(kwargs, needle):
     with pytest.raises(ScenarioValidationError) as err:
         validate_scenario(ScenarioConfig(**kwargs))
     assert any(needle in d for d in err.value.diagnostics)
+
+
+@pytest.mark.parametrize("kwargs,diagnostic", [
+    (dict(requirement_range=5), "requirement_range must be a pair of integers"),
+    (dict(initial_requirement_range=None),
+     "initial_requirement_range must be a pair of integers"),
+    (dict(requirement_range=(1, 45, 90)),
+     "requirement_range must be a pair of integers"),
+    (dict(requirement_range="ab"),
+     "requirement_range must be a pair of integers"),
+    # two integer keys: iterating it looks like a pair, but it is not one
+    (dict(requirement_range={1: 0, 45: 0}),
+     "requirement_range must be a pair of integers"),
+    (dict(requirement_range=(1, True)),
+     "requirement_range must be a pair of integers"),
+    (dict(gap=True), "gap must be a finite number"),
+    (dict(rho=False), "rho must be a finite number"),
+    (dict(capacity_b=True), "capacity_b must be a finite number when given"),
+    (dict(epsilon_per_step=True),
+     "epsilon_per_step must be a finite number when given"),
+])
+def test_malformed_fields_are_named_not_raised(kwargs, diagnostic):
+    # a scenario built in code is held to what scenario files are held to:
+    # a wrong shape or a boolean is a named diagnostic, never a TypeError
+    with pytest.raises(ScenarioValidationError) as err:
+        validate_scenario(ScenarioConfig(**kwargs))
+    assert diagnostic in err.value.diagnostics
+
+
+def test_numeric_fields_accept_numpy_and_list_values():
+    cfg = ScenarioConfig(requirement_range=[1, 45], gap=np.float64(2.5),
+                         rho=np.int64(3), capacity_b=np.float32(100.0),
+                         initial_requirement_range=(np.int64(2), 38))
+    assert validate_scenario(cfg) is cfg

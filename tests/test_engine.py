@@ -10,11 +10,12 @@ from twinalloc import engine
 from twinalloc.cli import main
 from twinalloc.core import ScenarioConfig, ScenarioValidationError, compute_residual
 from twinalloc.engine import (SimulationError, compare_policies,
-                              draw_initial_requirements, evolve_requirements,
-                              load_scenario, requirement_walk, run_scenario,
-                              save_scenario, scenario_from_dict,
-                              scenario_to_dict, target_walk)
-from twinalloc.manager import PolicyKind
+                              evolve_requirements, load_scenario,
+                              requirement_walk, run_scenario, save_scenario,
+                              scenario_from_dict, scenario_to_dict,
+                              target_walk)
+from twinalloc.manager import DEFAULT_MAX_REALLOCATION_PERIOD, PolicyKind
+from twinalloc.twin import DEFAULT_BOX_HIGH, DEFAULT_BOX_LOW
 
 
 class StepAlwaysHigh:
@@ -57,9 +58,9 @@ def small_config(**kwargs):
 
 def test_initial_draw_deterministic_and_in_range():
     cfg = ScenarioConfig()
-    a = draw_initial_requirements(cfg, 7)
-    b = draw_initial_requirements(cfg, 7)
-    c = draw_initial_requirements(cfg, 8)
+    a = requirement_walk(cfg, 7)[0]
+    b = requirement_walk(cfg, 7)[0]
+    c = requirement_walk(cfg, 8)[0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     lo, hi = cfg.initial_requirement_range
@@ -113,11 +114,11 @@ def test_block_walk_matches_scalar_draws(d, prefix):
         assert walk.dtype == np.int64 and walk.shape == (120, 7)
 
         streams = [RecordingStream(seed, i) for i in range(7)]
-        cur = draw_initial_requirements(cfg, seed)
         initial = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((seed, 2, 0)))).integers(
                 2, 7, endpoint=True, size=7)
-        np.testing.assert_array_equal(cur, initial)
+        np.testing.assert_array_equal(walk[0], initial)
+        cur = initial
         scalar, raw = [cur], []
         for t in range(1, cfg.n_ticks):
             before = sum(len(s.draws) for s in streams)
@@ -149,6 +150,17 @@ def test_target_walk_matches_scalar_draws(seed):
                     np.random.SeedSequence((seed, 1, i))))
                 scalar = [rng.uniform(0.0, 10.0) for _ in range(n_ticks)]
                 assert targets[:, i].tolist() == scalar
+
+
+def test_target_walk_stays_in_the_task_box():
+    # every setpoint lies in [DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH], the box
+    # DigitalTwin.assign_task checks each target against
+    for seed in (0, 1, 7, 2**32 + 5, 2**64 - 1):
+        targets = target_walk(ScenarioConfig(n_resources=1000, n_ticks=50,
+                                             stationary_prefix=0), seed)
+        assert targets.shape == (50, 1000)
+        assert DEFAULT_BOX_LOW <= targets.min()
+        assert targets.max() <= DEFAULT_BOX_HIGH
 
 
 @pytest.mark.parametrize("count", [1, 257])
@@ -229,8 +241,7 @@ def test_wide_walk_matches_scalar_draws():
         walk = requirement_walk(cfg, seed)
         cur = reference_generator(seed, 2, 0).integers(
             2**45, 2**45 + 2**34, endpoint=True, size=5)
-        np.testing.assert_array_equal(draw_initial_requirements(cfg, seed),
-                                      cur)
+        np.testing.assert_array_equal(walk[0], cur)
         rngs = [reference_generator(seed, 0, i) for i in range(5)]
         expected = [cur]
         for t in range(1, 30):
@@ -281,7 +292,10 @@ def test_default_capacity_is_the_exact_requirement_sum(tmp_path):
             "n_ticks": 5, "stationary_prefix": 1}
     cfg = scenario_from_dict(data)
     for seed in (0, 5):
-        exact = float(sum(draw_initial_requirements(cfg, seed).tolist()))
+        first = reference_generator(seed, 2, 0).integers(
+            *cfg.initial_requirement_range, endpoint=True, size=3)
+        np.testing.assert_array_equal(requirement_walk(cfg, seed)[0], first)
+        exact = float(sum(first.tolist()))
         assert exact > 2.0 ** 64
         for res in compare_policies(cfg, seed).values():
             assert res.capacity_b == exact
@@ -406,8 +420,7 @@ def test_solves_see_this_ticks_reports(monkeypatch, policy):
 def loop_step_control(twin, granted):
     """engine.step_control run as the reference loop of clamped steps."""
     action, achieved, baseline = step_control_reference(
-        twin.action, twin._target, twin._k_prime, granted,
-        twin.box_low, twin.box_high, twin.curvature, twin.step_alpha)
+        twin.action, twin._target, twin._k_prime, granted)
     twin._action = action
     return achieved - baseline
 
@@ -441,6 +454,47 @@ def test_engine_matches_loop_descent(monkeypatch, config):
             np.testing.assert_allclose(got.regret_series, want.regret_series,
                                        rtol=0, atol=LOOP_REGRET_TOL,
                                        err_msg=f"seed {seed} {kind.value}")
+
+
+@pytest.mark.parametrize("config", [
+    ScenarioConfig(),
+    ScenarioConfig(epsilon_per_step=2.0, n_resources=20, n_ticks=300),
+    ScenarioConfig(epsilon_per_step=1e3, n_resources=5, n_ticks=120),
+], ids=["default", "eps2-n20-T300", "period-cap"])
+def test_trigger_and_horizon_see_the_event_ticks(monkeypatch, config):
+    # the i-th horizon estimate sees the first i reallocation ticks, and
+    # each trigger test sees the ticks since the last event (or since 0)
+    horizons, triggers = [], []
+    estimate, trigger = engine.estimate_event_horizon, engine.should_trigger
+
+    def recording_estimate(event_ticks):
+        horizons.append(list(event_ticks))
+        return estimate(event_ticks)
+
+    def recording_trigger(regret, epsilon, ticks_since_event):
+        triggers.append(ticks_since_event)
+        return trigger(regret, epsilon, ticks_since_event)
+
+    monkeypatch.setattr("twinalloc.engine.estimate_event_horizon",
+                        recording_estimate)
+    monkeypatch.setattr("twinalloc.engine.should_trigger", recording_trigger)
+    for seed in (0, 3):
+        horizons.clear()
+        triggers.clear()
+        ticks = run_scenario(config, PolicyKind.EVENT_TRIGGERED,
+                             seed).reallocation_ticks
+        assert len(ticks) >= 3
+        assert horizons == [list(ticks[:i]) for i in range(len(ticks))]
+        want, last = [], 0
+        for t in range(1, config.n_ticks):
+            want.append(t - last)
+            if t in ticks:
+                last = t
+        assert triggers == want
+        gaps = np.diff((0,) + ticks)
+        assert gaps.max() <= DEFAULT_MAX_REALLOCATION_PERIOD
+    if config.epsilon_per_step == 1e3:   # no budget is ever blown
+        assert set(gaps) == {DEFAULT_MAX_REALLOCATION_PERIOD}
 
 
 def test_reports_and_floors_are_computed_and_checked_once(monkeypatch):
@@ -527,6 +581,8 @@ def test_scenario_rejects_unknown_keys():
     {"n_resources": 2.5},
     {"n_ticks": True},
     {"gap": "wide"},
+    {"gap": True},
+    {"rho": False},
     {"requirement_range": [1, 2, 3]},
     {"requirement_range": 7},
     {"capacity_b": "lots"},

@@ -5,7 +5,7 @@ import pytest
 
 from tests.oracles import grid_capped_simplex, penalized_tracking_objective
 from twinalloc.core import AllocationConstraints
-from twinalloc.manager import (EventHistory, PolicyKind,
+from twinalloc.manager import (DEFAULT_MAX_REALLOCATION_PERIOD, PolicyKind,
                                allocate_equal, allocate_event, allocate_online,
                                allocate_static, estimate_event_horizon,
                                should_trigger)
@@ -191,29 +191,33 @@ def test_all_policies_respect_hard_constraints():
 
 
 def test_estimate_event_horizon():
-    def hist(ticks, window_m=5):
-        return EventHistory(event_ticks=list(ticks), window_m=window_m)
+    assert estimate_event_horizon([]) == 10
+    assert estimate_event_horizon([4]) == 10
+    assert estimate_event_horizon([0, 10]) == 5
+    assert estimate_event_horizon([3, 4]) == 1
+    assert estimate_event_horizon((5, 9, 12)) == 2        # any sequence
+    # only the last five ticks count: (36 - 28) // 5, where all six would
+    # give (36 - 0) // 6 = 6
+    assert estimate_event_horizon([0, 28, 30, 32, 34, 36]) == 1
+    # (80 - 40) // 5 = 8; the first five would give 4
+    assert estimate_event_horizon([0, 5, 10, 15, 20, 40, 50, 60, 70, 80]) == 8
+    # floored, not rounded: 23 // 5 = 4 (4.6), and 64 // 5 = 12 (12.8)
+    assert estimate_event_horizon([1, 2, 10, 14, 20, 25]) == 4
+    assert estimate_event_horizon([0, 1, 2, 30, 50, 65]) == 12
 
-    assert estimate_event_horizon(hist([])) == 10
-    assert estimate_event_horizon(hist([4])) == 10
-    assert estimate_event_horizon(hist([5, 9, 12], window_m=3)) == 2
-    assert estimate_event_horizon(hist([0, 10])) == 5
-    assert estimate_event_horizon(hist([3, 4])) == 1
-    assert estimate_event_horizon(
-        hist([0, 10, 30, 32, 34, 36], window_m=3)) == 1
 
-
-def test_event_history_validation():
-    with pytest.raises(ValueError):
-        EventHistory(event_ticks=[3, 3])
-    with pytest.raises(ValueError):
-        EventHistory(window_m=0)
-    history = EventHistory()
-    history.record(4)
-    history.record(9)
-    assert history.event_ticks == [4, 9]
-    with pytest.raises(ValueError):
-        history.record(9)
+def test_estimate_event_horizon_matches_float_floor():
+    # integer division against the float floor it replaced, over every
+    # window of one ascending tick list
+    ticks = np.cumsum(np.random.default_rng(4).integers(1, 60, 400)).tolist()
+    for end in range(len(ticks) + 1):
+        got = estimate_event_horizon(ticks[:end])
+        if end < 2:
+            assert got == 10
+            continue
+        recent = ticks[max(end - 5, 0):end]
+        want = max(int(np.floor((recent[-1] - recent[0]) / len(recent))), 1)
+        assert got == want and type(got) is int
 
 
 def test_should_trigger():
@@ -225,5 +229,8 @@ def test_should_trigger():
     assert should_trigger(blown, eps, 1)      # T=0 budget is one epsilon
     assert not should_trigger(blown, eps, 0)  # same tick as the event: never
     assert should_trigger(np.zeros(0), np.zeros(0), 25)  # period cap fires
+    assert DEFAULT_MAX_REALLOCATION_PERIOD == 25
+    assert should_trigger(np.zeros(1), np.ones(1), 26)
+    assert not should_trigger(np.zeros(1), np.ones(1), 24)
     assert not should_trigger(np.array([3.0]), np.array([1.0]), 3)  # boundary
 

@@ -9,26 +9,16 @@ import pytest
 from tests.oracles import step_control_pair, step_control_reference
 from twinalloc.solver import (BoxSet, PGAConfig, SmoothConvexProblem,
                               iterations_for_delta, pga_solve)
-from twinalloc.twin import (DEFAULT_EPSILON_FACTOR, DigitalTwin,
-                            check_satisfaction, compute_requirement,
-                            forecast_requirements, regret_budgets,
-                            step_control, update_regret)
+from twinalloc.twin import (DEFAULT_BOX_HIGH, DEFAULT_BOX_LOW,
+                            DEFAULT_EPSILON_FACTOR, DEFAULT_TWIN_STEP_ALPHA,
+                            DigitalTwin, check_satisfaction,
+                            compute_requirement, forecast_requirements,
+                            regret_budgets, step_control, update_regret)
 
 # closed form against the clamped loop: 1.4e-14 at most over 72k random cases
 STEP_TOL = 1e-12
 
-
-def make_twin(**kwargs):
-    return DigitalTwin(0, **kwargs)
-
-
-def test_constructor_validation():
-    with pytest.raises(ValueError):
-        DigitalTwin(0, box_low=5.0, box_high=5.0)
-    with pytest.raises(ValueError):
-        DigitalTwin(0, curvature=0.0)
-    with pytest.raises(ValueError):
-        DigitalTwin(0, curvature=2.0, step_alpha=0.6)
+LO, HI = DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH
 
 
 def test_requirement_from_tolerance():
@@ -65,24 +55,17 @@ def test_regret_budgets_match_scalar_expression():
 def test_requirement_bridge_is_exact():
     # k' = required_iterations is what the descent certificate returns for
     # the matching tolerance D^2 / (2 alpha k')
-    ks = np.arange(1, 10_001)
+    ks = np.arange(1, 20_001)
     assert compute_requirement(ks, 10.0)[0].tolist() == ks.tolist()
-    for twin in (make_twin(),
-                 DigitalTwin(0, step_alpha=0.3, box_low=-0.7, box_high=2.9)):
-        diam = twin.diameter
-        for k in ks.tolist():
-            delta = diam * diam / (2.0 * twin.step_alpha * k)
-            assert iterations_for_delta(diam, twin.step_alpha, delta) == k
-
-
-def test_box_diameter_matches_box_set():
-    for low, high in ((0.0, 10.0), (-0.7, 2.9), (1e-3, 7.3e5), (-3.1, -0.2)):
-        twin = DigitalTwin(0, box_low=low, box_high=high)
-        assert twin.diameter == BoxSet([low], [high]).diameter()
+    diam, alpha = HI - LO, DEFAULT_TWIN_STEP_ALPHA
+    assert diam == BoxSet([LO], [HI]).diameter()
+    for k in ks.tolist():
+        delta = diam * diam / (2.0 * alpha * k)
+        assert iterations_for_delta(diam, alpha, delta) == k
 
 
 def test_no_task_yet_raises():
-    twin = make_twin()
+    twin = DigitalTwin()
     with pytest.raises(RuntimeError):
         step_control(twin, 5)
     with pytest.raises(ValueError):
@@ -97,37 +80,24 @@ def test_no_task_yet_raises():
 
 def test_assign_task_rejects_target_outside_box():
     # step_control measures against x* = target, which needs target in box
-    for low, high in ((0.0, 10.0), (-0.7, 2.9)):
-        twin = DigitalTwin(0, box_low=low, box_high=high)
-        for bad in (float("nan"), float("inf"), -float("inf"),
-                    np.nextafter(low, -np.inf), np.nextafter(high, np.inf)):
-            with pytest.raises(ValueError):
-                twin.assign_task(5, bad)
-        with pytest.raises(RuntimeError):   # a rejected task is not kept
-            step_control(twin, 5)
-        for edge in (low, high):
-            twin.assign_task(5, edge)
-            assert step_control(twin, 5) == 0.0
-
-
-def test_single_step_reaches_setpoint():
-    # curvature 1 with alpha = 1/L lands on an interior setpoint in one step
-    twin = DigitalTwin(0, step_alpha=1.0)
-    twin._action = 0.0
-    twin.assign_task(1, 3.0)
-    out = step_control(twin, 1)
-    action, achieved, baseline = step_control_reference(0.0, 3.0, 1, 1,
-                                                        alpha=1.0)
-    assert (twin.action, out) == (action, achieved - baseline)
-    assert twin.action == 3.0
-    assert 0.5 * (twin.action - 3.0) ** 2 == 0.0    # the achieved gap
-    assert out == 0.0
+    twin = DigitalTwin()
+    for bad in (float("nan"), float("inf"), -float("inf"),
+                np.nextafter(LO, -np.inf), np.nextafter(HI, np.inf),
+                LO - 1.0, HI + 1.0, -1e300, 1e300):
+        with pytest.raises(ValueError):
+            twin.assign_task(5, bad)
+    with pytest.raises(RuntimeError):   # a rejected task is not kept
+        step_control(twin, 5)
+    for edge in (LO, HI, np.nextafter(LO, np.inf), np.nextafter(HI, -np.inf),
+                 0.5 * (LO + HI)):
+        twin.assign_task(5, edge)
+        assert step_control(twin, 5) == 0.0
 
 
 def test_full_grant_meets_baseline_exactly():
     # a grant a rounding error below k' is the full grant
     for shortfall in (0.0, 1e-12):
-        twin, exact = make_twin(), make_twin()
+        twin, exact = DigitalTwin(), DigitalTwin()
         targets = np.random.default_rng(123).uniform(0.0, 10.0, 12)
         for tick in range(12):
             k_prime = int(5 + 3 * (tick % 4))
@@ -140,14 +110,14 @@ def test_full_grant_meets_baseline_exactly():
 
 
 def test_over_grant_beats_baseline():
-    twin = make_twin()
+    twin = DigitalTwin()
     twin.assign_task(5, 9.0)
     out = step_control(twin, 9)
     assert out < 0.0
 
 
 def test_under_grant_trails_baseline():
-    twin = make_twin()
+    twin = DigitalTwin()
     twin.assign_task(9, 9.0)
     out = step_control(twin, 3)
     action, achieved, baseline = step_control_reference(5.0, 9.0, 9, 3)
@@ -158,7 +128,7 @@ def test_under_grant_trails_baseline():
 def test_grant_is_floored_and_validated():
     # a fractional grant runs exactly the floor of it, and never less than 1
     for grant, whole in ((0.5, 1), (7.9, 7)):
-        twin, floored, ceiled = make_twin(), make_twin(), make_twin()
+        twin, floored, ceiled = DigitalTwin(), DigitalTwin(), DigitalTwin()
         for tw in (twin, floored, ceiled):
             tw.assign_task(6, 2.5)
         sample = step_control(twin, grant)
@@ -183,34 +153,32 @@ def test_step_control_matches_single_loop_reference():
     # steps g and k' as it passes them; they round differently, so within
     # STEP_TOL, except that g == k' must meet the baseline exactly
     rng = np.random.default_rng(2024)
-    boxes = ((dict(), 0.0, 10.0, 1.0, 0.2),
-             (dict(step_alpha=0.3, box_low=-0.7, box_high=2.9), -0.7, 2.9,
-              1.0, 0.3),
-             (dict(step_alpha=0.5, curvature=2.0), 0.0, 10.0, 2.0, 0.5))
     seen = set()
-    for kwargs, lo, hi, kappa, alpha in boxes:
-        for case in range(400):
-            k_prime = int(rng.integers(1, 46))
-            x0 = float(rng.uniform(lo, hi))
-            c = (lo, hi)[case] if case < 2 else float(rng.uniform(lo, hi))
-            for grant in (0, 0.5, 7.9, k_prime - 1e-12, k_prime,
-                          k_prime - 1, k_prime + 3,
-                          float(rng.uniform(0, 60))):
-                twin = DigitalTwin(0, **kwargs)
-                twin._action = x0
-                twin.assign_task(k_prime, c)
-                out = step_control(twin, grant)
-                want = step_control_reference(x0, c, k_prime, grant, lo, hi,
-                                              kappa, alpha)
-                _assert_matches_reference(twin, out, want)
-                side = np.sign(max(int(np.floor(grant + 1e-9)), 1) - k_prime)
-                if side == 0:   # criterion 6 needs zero regret, not small
-                    assert out == 0.0
-                seen.add(side)
+    cases = 0
+    for case in range(1200):
+        k_prime = int(rng.integers(1, 46))
+        # both ends of the box as start and as setpoint, then random points
+        x0 = (LO, HI, LO, HI)[case] if case < 4 else float(rng.uniform(LO, HI))
+        c = (LO, HI, HI, LO)[case] if case < 4 else float(rng.uniform(LO, HI))
+        for grant in (0, 0.5, 7.9, k_prime - 1e-12, k_prime, k_prime - 1,
+                      k_prime + 1, k_prime + 3, 1e3,
+                      float(rng.uniform(0, 60))):
+            twin = DigitalTwin()
+            twin._action = x0
+            twin.assign_task(k_prime, c)
+            out = step_control(twin, grant)
+            want = step_control_reference(x0, c, k_prime, grant)
+            _assert_matches_reference(twin, out, want)
+            side = np.sign(max(int(np.floor(grant + 1e-9)), 1) - k_prime)
+            if side == 0:   # criterion 6 needs zero regret, not small
+                assert out == 0.0
+            seen.add(side)
+            cases += 1
     assert seen == {-1, 0, 1}
+    assert cases == 12_000
 
     # a chain of ticks, each starting from the previous tick's action
-    twin = make_twin()
+    twin = DigitalTwin()
     x = twin.action
     for tick in range(50):
         k_prime = int(rng.integers(1, 46))
@@ -229,71 +197,50 @@ def test_increment_equals_pair_form_bit_for_bit():
     # skip the regret digest, so this is what pins regret's bits
     rng = np.random.default_rng(1010)
     cases = 0
-    for lo, hi in ((0.0, 10.0), (-0.7, 2.9)):
-        points = [lo, hi] + rng.uniform(lo, hi, 3).tolist()
-        k_primes = (1, 2, 9, 45, int(rng.integers(1, 400)))
-        # kappa 0.8 and 3 make multiplying by kappa / 2 inexact, which pins
-        # the operation order, not only the value
-        steps = ((0.2, 1.0), (0.1, 2.0), (0.25, 0.8), (1.0, 1.0), (0.5, 2.0),
-                 (1 / 3, 3.0), (1e-20, 1.0))
-        for (alpha, kappa), x0, c, k_prime in itertools.product(
-                steps, points, points, k_primes):
-            for grant in (0, 1e-12, k_prime - 1e-10, k_prime, k_prime + 3,
-                          1e15):
-                twin = DigitalTwin(0, step_alpha=alpha, curvature=kappa,
-                                   box_low=lo, box_high=hi)
-                twin._action = x0
-                twin.assign_task(k_prime, c)
-                out = step_control(twin, grant)
-                action, achieved, baseline = step_control_pair(
-                    x0, c, k_prime, grant, lo, hi, kappa, alpha)
-                assert type(out) is float
-                assert out == achieved - baseline
-                assert twin.action == action
-                cases += 1
-    assert cases == 2 * 7 * 5 * 5 * 5 * 6
+    points = [LO, HI, 0.5 * (LO + HI)] + rng.uniform(LO, HI, 13).tolist()
+    k_primes = (1, 2, 3, 9, 45, 400, int(rng.integers(1, 400)))
+    for x0, c, k_prime in itertools.product(points, points, k_primes):
+        for grant in (0, 1e-12, k_prime - 1e-10, k_prime, k_prime + 3, 1e15):
+            twin = DigitalTwin()
+            twin._action = x0
+            twin.assign_task(k_prime, c)
+            out = step_control(twin, grant)
+            action, achieved, baseline = step_control_pair(x0, c, k_prime,
+                                                           grant)
+            assert type(out) is float
+            assert out == achieved - baseline
+            assert twin.action == action
+            cases += 1
+    assert cases == 16 * 16 * 7 * 6
 
 
 def test_reference_descent_never_needs_its_clamp():
     # the closed form's premise: with x0 and c in the box and
-    # 0 < alpha * kappa <= 1, each step x - alpha * kappa * (x - c) is a
-    # convex combination of x and c. In floating point the iterates stay
-    # exactly between x0 and c while alpha * kappa <= 1 - 3u (u = 2**-53); at
-    # alpha * kappa == 1 a step can round past c by under 3 ulps of the box
-    # bound, where the closed form (q = 0) lands on c exactly
+    # 0 < alpha * kappa < 1 (here 0.2), each step x - alpha * kappa * (x - c)
+    # is a convex combination of x and c, and in floating point the iterates
+    # stay exactly between x0 and c
     rng = np.random.default_rng(7)
-    for lo, hi in ((0.0, 10.0), (-0.7, 2.9), (-3.1, -0.2), (1e-3, 7.3e5)):
-        ulps = 3 * np.spacing(max(abs(lo), abs(hi)))
-        for alpha, kappa in ((0.2, 1.0), (0.3, 1.0), (0.999, 1.0),
-                             (1e-3, 1.0), (0.5, 2.0), (1.0, 1.0)):
-            ak = alpha * kappa
-            slack = ulps if ak == 1.0 else 0.0
-            for case in range(200):
-                x0 = (lo, hi)[case % 2] if case < 4 else rng.uniform(lo, hi)
-                c = ((lo, hi)[case // 2 % 2] if case % 3
-                     else rng.uniform(lo, hi))
-                x0, c = float(x0), float(c)
-                x = x0
-                for _ in range(60):
-                    x = x - ak * (x - c)    # the reference step, no clamp
-                    assert min(x0, c) - slack <= x <= max(x0, c) + slack
-                action = step_control_reference(x0, c, 60, 60, lo, hi, kappa,
-                                                alpha)[0]
-                if ak < 1.0:
-                    assert action == x      # its clamp never fired
-                    continue
-                twin = DigitalTwin(0, step_alpha=alpha, curvature=kappa,
-                                   box_low=lo, box_high=hi)
-                twin._action = x0
-                twin.assign_task(1, c)
-                step_control(twin, 1)
-                assert twin.action == c
+    ak = DEFAULT_TWIN_STEP_ALPHA * 1.0
+    for case in range(4800):
+        x0 = (LO, HI)[case % 2] if case < 16 else rng.uniform(LO, HI)
+        c = (LO, HI)[case // 2 % 2] if case % 3 else rng.uniform(LO, HI)
+        x0, c = float(x0), float(c)
+        x = x0
+        for _ in range(60):
+            x = x - ak * (x - c)    # the reference step, no clamp
+            assert min(x0, c) <= x <= max(x0, c)
+        assert step_control_reference(x0, c, 60, 60)[0] == x  # no clamp
+        twin = DigitalTwin()
+        twin._action = x0
+        twin.assign_task(60, c)
+        step_control(twin, 60)
+        assert min(x0, c) <= twin.action <= max(x0, c)
 
 
 def test_huge_grant_lands_on_target():
     # O(1) in the grant: 1e15 steps reach the setpoint, and regret is the
     # whole baseline; a twin run as a loop of steps would not return
-    twin = make_twin()
+    twin = DigitalTwin()
     for tick, c in enumerate((7.3, 0.0, 10.0, 2.5)):
         twin.assign_task(9, c)
         _, achieved, baseline = step_control_pair(twin.action, c, 9, 1e15)
@@ -304,34 +251,25 @@ def test_huge_grant_lands_on_target():
 
 
 def test_action_stays_in_box_and_gap_nonnegative():
-    twin = make_twin()
+    twin = DigitalTwin()
     rng = np.random.default_rng(9)
     targets = np.random.default_rng(123)
-    for tick in range(60):
-        c = targets.uniform(0.0, 10.0)
+    for tick in range(460):
+        # every eleventh setpoint sits on a box end
+        c = (LO, HI)[tick // 11 % 2] if tick % 11 == 0 else targets.uniform(
+            LO, HI)
         twin.assign_task(int(rng.integers(1, 40)), c)
         out = step_control(twin, float(rng.uniform(0, 50)))
-        assert 0.0 <= twin.action <= 10.0
+        assert LO <= twin.action <= HI
         achieved = 0.5 * (twin.action - c) ** 2
         assert achieved >= -1e-12
         assert out <= achieved + 1e-12      # baseline >= -1e-12
-
-    # a step so small that q = 1 - alpha * kappa rounds to 1: c + (x - c)
-    # can round past a box end, and the clamp must hold the action inside
-    for x0 in (-0.7, 2.9):
-        for c in np.random.default_rng(5).uniform(-0.7, 2.9, 200):
-            twin = DigitalTwin(0, step_alpha=1e-20, box_low=-0.7,
-                               box_high=2.9)
-            twin._action = x0
-            twin.assign_task(3, float(c))
-            step_control(twin, 3)
-            assert -0.7 <= twin.action <= 2.9
 
 
 def test_step_control_agrees_with_generic_solver():
     # the twin's closed form and the generic projected descent must land on
     # the same iterate when given identical iteration budgets
-    twin = make_twin()
+    twin = DigitalTwin()
     twin.assign_task(30, 7.25)
     start = twin.action
     step_control(twin, 13)
@@ -340,7 +278,7 @@ def test_step_control_agrees_with_generic_solver():
         gradient=lambda x: x - 7.25, lipschitz_l=1.0,
         feasible_set=BoxSet([0.0], [10.0]))
     result = pga_solve(problem, [start],
-                       PGAConfig(step_alpha=twin.step_alpha,
+                       PGAConfig(step_alpha=DEFAULT_TWIN_STEP_ALPHA,
                                  max_iterations=13, stall_tolerance=0.0))
     assert float(result.x[0]) == twin.action
 
@@ -368,7 +306,7 @@ def test_regret_telescopes():
 
 
 def test_over_granted_twin_never_builds_positive_regret():
-    twin = make_twin()
+    twin = DigitalTwin()
     regret = np.zeros(1)
     rng = np.random.default_rng(77)
     targets = np.random.default_rng(123)
@@ -407,7 +345,7 @@ def test_forecast_is_persistence():
 
 def test_epsilon_defaults_to_initial_tolerance_fraction():
     first = np.array([10, 40])
-    delta0 = 10.0 * 10.0 / (2.0 * DigitalTwin(0).step_alpha * first)
+    delta0 = 10.0 * 10.0 / (2.0 * DEFAULT_TWIN_STEP_ALPHA * first)
     assert regret_budgets(first, None) == pytest.approx(
         DEFAULT_EPSILON_FACTOR * delta0)
     assert regret_budgets(first, 0.7).tolist() == [0.7, 0.7]
