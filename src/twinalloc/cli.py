@@ -25,9 +25,13 @@ EXIT_SOLVER = 3
 
 
 def _seed_value(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
     if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit int")
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in [0, 2**64), got {text!r}")
     return value
 
 
@@ -103,15 +107,14 @@ def cmd_compare(args, argv) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     outputs = {}
-    rows = {kind: metrics_rows(results[kind]) for kind in PolicyKind}
+    bodies = []  # each policy's table, rendered once for both its files
     for kind in PolicyKind:
         path = os.path.join(args.out, f"metrics_{kind.value}.csv")
-        write_metrics_csv(path, rows[kind])
+        bodies.append(write_metrics_csv(path, metrics_rows(results[kind])))
         outputs[f"metrics_{kind.value}_csv"] = path
 
     combined_path = os.path.join(args.out, "comparison.csv")
-    write_metrics_csv(combined_path,
-                      [row for kind in PolicyKind for row in rows[kind]])
+    write_metrics_csv(combined_path, "".join(bodies))
     outputs["comparison_csv"] = combined_path
 
     svg_path = os.path.join(args.out, "comparison.svg")

@@ -51,49 +51,32 @@ def allocate_static(expected_r, capacity_b: float) -> np.ndarray:
     return project_capped_simplex(r_bar, np.zeros_like(r_bar), capacity_b)
 
 
-def _check_forecast(forecast, lower_bounds, horizon: int) -> np.ndarray:
-    fc = np.asarray(forecast, dtype=float)
-    if fc.ndim != 2 or fc.shape[1] != len(lower_bounds):
-        raise ValueError("forecast must be a (steps, n) array")
-    if fc.shape[0] < horizon + 1:
-        raise ValueError(f"forecast must cover {horizon + 1} steps")
-    if not np.all(np.isfinite(fc)):
-        raise ValueError("forecast must be finite")
-    return fc
-
-
-def allocate_online(forecast, lower_bounds,
+def allocate_online(k_prime, k_lower,
                     constraints: AllocationConstraints) -> np.ndarray:
-    """Receding-horizon allocation for the next step.
-
-    Minimizes tracking error against forecast row 1 plus the slack penalty
-    over the budget set. Row 0 is the current report, the request whose
-    shortfall max_deviation bounds; lower_bounds are this tick's minimum
-    acceptable grants.
-    """
-    fc = _check_forecast(forecast, lower_bounds, 1)
-    a, _ = hinge_quadratic_solve(
-        fc[1], lower_bounds, fc[0] - constraints.max_deviation,
-        constraints.slack_penalty_rho, constraints.capacity_b)
-    return a
+    """Receding-horizon allocation for the next step: the event solve over
+    a horizon of one step."""
+    return allocate_event(k_prime, k_lower, constraints, 1)
 
 
-def allocate_event(forecast, lower_bounds, constraints: AllocationConstraints,
+def allocate_event(k_prime, k_lower, constraints: AllocationConstraints,
                    N_e: int) -> np.ndarray:
     """One fixed allocation held for the whole predicted inter-event horizon.
 
-    Same cost family as allocate_online, but a single decision vector is
-    applied at every step, so the tracking term pulls toward the time-mean
-    of the forecast window.
+    The reports k_prime are the request whose shortfall max_deviation
+    bounds and, as the persistence forecast, the tracking target of each of
+    the N_e steps; k_lower are the tick's minimum acceptable grants. N_e
+    identical tracking stages plus a once-counted slack penalty leave the
+    penalty at rho / N_e relative to tracking k_prime.
     """
     if N_e < 1:
         raise ValueError("N_e must be >= 1")
-    fc = _check_forecast(forecast, lower_bounds, N_e)
-    mean_r = fc[1:N_e + 1].mean(axis=0)
-    # N_e identical tracking stages plus a once-counted slack penalty: the
-    # minimizer sees the penalty at rho / N_e relative to tracking the mean
+    k_prime = np.asarray(k_prime, dtype=float)
+    k_lower = np.asarray(k_lower, dtype=float)
+    if not (k_prime.ndim == 1 and k_prime.shape == k_lower.shape
+            and np.isfinite(k_prime).all()):
+        raise ValueError("k_prime must be a finite vector shaped like k_lower")
     a, _ = hinge_quadratic_solve(
-        mean_r, lower_bounds, fc[0] - constraints.max_deviation,
+        k_prime, k_lower, k_prime - constraints.max_deviation,
         constraints.slack_penalty_rho / N_e, constraints.capacity_b)
     return a
 

@@ -49,24 +49,27 @@ def metrics_rows(result: SimResult) -> list[tuple]:
                     np.cumsum(realloc).tolist()))
 
 
-def render_metrics_csv(rows) -> str:
-    """CSV text for rows built by metrics_rows, under the header."""
+def _csv_body(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-def write_metrics_csv(path, rows) -> None:
+_CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
+
+
+def render_metrics_csv(rows) -> str:
+    """CSV text for rows built by metrics_rows, under the header."""
+    return _CSV_HEADER_LINE + _csv_body(rows)
+
+
+def write_metrics_csv(path, table) -> str:
+    """Write the header and a table, rows built by metrics_rows or a body
+    returned here before; return the body, so each table renders once."""
+    body = table if isinstance(table, str) else _csv_body(table)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_metrics_csv(rows))
-
-
-def _svg_path(xs, ys) -> str:
-    pieces = [f"{'M' if i == 0 else 'L'}{x:.2f},{y:.2f}"
-              for i, (x, y) in enumerate(zip(xs, ys))]
-    return " ".join(pieces)
+        fh.write(_CSV_HEADER_LINE + body)
+    return body
 
 
 def render_comparison_svg(results: dict[PolicyKind, SimResult],
@@ -131,13 +134,16 @@ def render_comparison_svg(results: dict[PolicyKind, SimResult],
                  f'font-size="12" transform="rotate(-90 18 '
                  f'{top + plot_h / 2:.0f})">residual (inf norm)</text>')
 
-    # series and their post-prefix means
+    # series and their post-prefix means; sx and sy as array ops
+    xs = (left + plot_w * (np.arange(n_ticks) / max(n_ticks - 1, 1))).tolist()
     for kind in PolicyKind:
         result = results[kind]
         color = _POLICY_COLORS[kind]
-        xs = [sx(t) for t in range(n_ticks)]
-        ys = [sy(float(v)) for v in result.residual_inf_series]
-        parts.append(f'<path class="series" d="{_svg_path(xs, ys)}" '
+        ys = (top + plot_h * (1.0 - result.residual_inf_series / y_max)
+              ).tolist()
+        path = " ".join(f"{'L' if i else 'M'}{x:.2f},{y:.2f}"
+                        for i, (x, y) in enumerate(zip(xs, ys)))
+        parts.append(f'<path class="series" d="{path}" '
                      f'fill="none" stroke="{color}" stroke-width="1.4"/>')
         mean_v = result.mean_residual_after_prefix
         if np.isfinite(mean_v):

@@ -240,10 +240,11 @@ def hinge_quadratic_solve(target, soft_lower, dev_floor, rho: float,
     >= 1: the one at s = 0, one per block of knots and the final one.
     """
     target = np.atleast_1d(np.asarray(target, dtype=float))
-    soft_lower = np.broadcast_to(np.asarray(soft_lower, dtype=float),
-                                 target.shape)
-    dev_floor = np.broadcast_to(np.asarray(dev_floor, dtype=float),
-                                target.shape)
+    soft_lower = np.asarray(soft_lower, dtype=float)
+    dev_floor = np.asarray(dev_floor, dtype=float)
+    if soft_lower.shape != target.shape or dev_floor.shape != target.shape:
+        soft_lower = np.broadcast_to(soft_lower, target.shape)
+        dev_floor = np.broadcast_to(dev_floor, target.shape)
     rho = float(rho)
     capacity = float(capacity)
     if not rho >= 0:
@@ -255,12 +256,15 @@ def hinge_quadratic_solve(target, soft_lower, dev_floor, rho: float,
     one_hinge = target + rho * p2
     two_hinges = target + rho * (p1 + p2)
 
-    def allocation(s):
-        a = np.maximum(target - s, (one_hinge - s) / (1.0 + rho))
-        a = np.maximum(a, (two_hinges - s) / (1.0 + 2.0 * rho))
+    def shifted(t, h1, h2):  # a(s) from t - s, h1 - s and h2 - s
+        a = np.maximum(t, h1 / (1.0 + rho))
+        a = np.maximum(a, h2 / (1.0 + 2.0 * rho))
         return np.maximum(a, 0.0)
 
-    a = allocation(0.0)
+    def allocation(s):
+        return shifted(target - s, one_hinge - s, two_hinges - s)
+
+    a = shifted(target, one_hinge, two_hinges)  # a(0): x - 0.0 is x
     passes = 1
     lo_sum = float(a.sum())
     if lo_sum > capacity:
@@ -289,6 +293,6 @@ def hinge_quadratic_solve(target, soft_lower, dev_floor, rho: float,
         s = lo_s + (lo_sum - capacity) * (hi_s - lo_s) / (lo_sum - hi_sum)
         a = allocation(s)
         passes += 1
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise SolverError("non-finite allocation")
     return a, passes

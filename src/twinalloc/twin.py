@@ -143,7 +143,7 @@ def check_satisfaction(regret, epsilon, T: int) -> bool:
     T+1 accumulated ticks."""
     if T < 0:
         raise ValueError("T must be nonnegative")
-    return bool(np.all(np.abs(regret) <= epsilon * (T + 1)))
+    return bool((np.abs(regret) <= epsilon * (T + 1)).all())
 
 
 def forecast_requirements(k_prime, horizon_N: int) -> np.ndarray:

@@ -3,8 +3,9 @@
 Everything here is deliberately brute force: dense grids, exhaustive
 active-set enumeration, rejection sampling, a step-by-step descent, a
 breakpoint search one knot at a time. None of it shares code with the
-package under test. The one exception is step_control_pair, an earlier form
-of the twin's control step kept to prove its successor bit-exact.
+package under test. Two exceptions are earlier forms kept to prove their
+successors bit-exact: step_control_pair, the twin's control step, and
+forecast_solve_inputs, the allocation policies' persistence-forecast inputs.
 """
 
 import itertools
@@ -183,3 +184,18 @@ def hinge_quadratic_solve_bisection(target, soft_lower, dev_floor, rho,
         a = allocation(s)
         passes += 1
     return a, passes
+
+
+def forecast_solve_inputs(k_prime, lower_bounds, max_deviation, rho,
+                          capacity, N_e):
+    """The hinge-solve arguments of the event policy (the online policy at
+    N_e = 1) as posed on a persistence forecast.
+
+    The reports k' are tiled into N_e + 1 rows; row 0 is the request the
+    deviation floor hangs from, the target is the mean of rows 1..N_e, and
+    the penalty is rho / N_e. Returns (target, soft_lower, dev_floor, rho,
+    capacity) for hinge_quadratic_solve.
+    """
+    forecast = np.tile(np.asarray(k_prime, dtype=float), (N_e + 1, 1))
+    return (forecast[1:N_e + 1].mean(axis=0), lower_bounds,
+            forecast[0] - max_deviation, rho / N_e, capacity)

@@ -164,13 +164,11 @@ def test_criterion_5_solver_oracles():
                 best = float(track.min())
                 rho, weight = 0.0, 1.0
             elif which == 1:
-                fc = np.tile(requested, (2, 1))
-                a = allocate_online(fc, lower, constraints)
+                a = allocate_online(requested, lower, constraints)
                 best = float((track + 1e3 * hinge).min())
                 rho, weight = 1e3, 1.0
             else:
-                fc = np.tile(requested, (3, 1))
-                a = allocate_event(fc, lower, constraints, N_e=2)
+                a = allocate_event(requested, lower, constraints, N_e=2)
                 best = float((2.0 * track + 1e3 * hinge).min())
                 rho, weight = 1e3, 2.0
             objective = penalized_tracking_objective(

@@ -295,6 +295,16 @@ def test_bad_seed_rejected_by_parser(cli_env):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("seed", ["x", "1.5", "-4", str(2**64)])
+def test_bad_seed_message_names_the_rule(seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--scenario", "s.json", "--seed", seed])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"seed must be an integer in [0, 2**64), got '{seed}'" in err
+    assert "_seed_value" not in err
+
+
 @pytest.mark.parametrize("argv", [
     [], ["frobnicate"], ["compare"], ["simulate", "--scenario", "s.json"],
     ["compare", "--scenario", "s.json", "--workers", "2"],

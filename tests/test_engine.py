@@ -14,7 +14,8 @@ from twinalloc.engine import (SimulationError, compare_policies,
                               requirement_walk, run_scenario, save_scenario,
                               scenario_from_dict, scenario_to_dict,
                               target_walk)
-from twinalloc.manager import DEFAULT_MAX_REALLOCATION_PERIOD, PolicyKind
+from twinalloc.manager import (DEFAULT_MAX_REALLOCATION_PERIOD, PolicyKind,
+                               estimate_event_horizon)
 from twinalloc.twin import DEFAULT_BOX_HIGH, DEFAULT_BOX_LOW
 
 
@@ -386,16 +387,15 @@ def test_online_reallocates_every_tick(small_runs):
 @pytest.mark.parametrize("policy", [PolicyKind.EVENT_TRIGGERED,
                                     PolicyKind.ONLINE_DYNAMIC])
 def test_solves_see_this_ticks_reports(monkeypatch, policy):
-    # every re-solve at tick t is posed on the reports of tick t: a
-    # persistence forecast of k', k' as the request (forecast row 0) and
-    # its gap floor
+    # every re-solve at tick t is posed on the reports of tick t: k' and its
+    # gap floor, and for event the horizon estimated from the earlier events
     seen = []
 
     def recording(solve):
-        def wrapped(forecast, lower_bounds, constraints, *rest):
-            seen.append((np.array(forecast), np.array(lower_bounds),
-                         constraints, rest))
-            return solve(forecast, lower_bounds, constraints, *rest)
+        def wrapped(k_prime, k_lower, constraints, *rest):
+            seen.append((np.array(k_prime), np.array(k_lower), constraints,
+                         rest))
+            return solve(k_prime, k_lower, constraints, *rest)
         return wrapped
 
     for name in ("allocate_event", "allocate_online"):
@@ -406,14 +406,15 @@ def test_solves_see_this_ticks_reports(monkeypatch, policy):
     first = [0] if policy is PolicyKind.ONLINE_DYNAMIC else []
     ticks = first + list(res.reallocation_ticks)
     assert len(ticks) == len(seen) >= 5
-    for t, (forecast, lower_bounds, constraints, rest) in zip(ticks, seen):
+    for i, (t, (k_prime, k_lower, constraints, rest)) in enumerate(
+            zip(ticks, seen)):
         req = res.requirement_series[t]
-        assert np.all(forecast == req)
+        assert k_prime.dtype == float and np.array_equal(k_prime, req)
+        assert np.array_equal(k_lower, np.maximum(np.ceil(req - cfg.gap), 1))
         if policy is PolicyKind.EVENT_TRIGGERED:
-            assert forecast.shape[0] == rest[0] + 1
-        assert np.array_equal(forecast[0], req)
-        assert np.array_equal(lower_bounds,
-                              np.maximum(np.ceil(req - cfg.gap), 1))
+            assert rest == (estimate_event_horizon(ticks[:i]),)
+        else:
+            assert rest == ()
         assert constraints.capacity_b == res.capacity_b
 
 

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from tests.oracles import grid_capped_simplex, penalized_tracking_objective
+from tests.oracles import (forecast_solve_inputs, grid_capped_simplex,
+                           penalized_tracking_objective)
 from twinalloc.core import AllocationConstraints
 from twinalloc.manager import (DEFAULT_MAX_REALLOCATION_PERIOD, PolicyKind,
                                allocate_equal, allocate_event, allocate_online,
                                allocate_static, estimate_event_horizon,
                                should_trigger)
-from twinalloc.solver import project_capped_simplex
+from twinalloc.solver import hinge_quadratic_solve, project_capped_simplex
 
 
 def identity_setup(requested, capacity, lower=None, max_deviation=10.0,
@@ -23,22 +24,17 @@ def identity_setup(requested, capacity, lower=None, max_deviation=10.0,
         slack_penalty_rho=rho)
 
 
-def persistence(requested, steps):
-    return np.tile(np.asarray(requested, dtype=float), (steps + 1, 1))
-
-
-def horizon_cost(points, fc, lower, constraints, N_e=1):
-    """Tracking cost against forecast rows 1..N_e plus one slack penalty:
-    the event objective, and with N_e=1 the online one. The request is
-    forecast row 0."""
-    dev_floor = fc[0] - constraints.max_deviation
-    cost = penalized_tracking_objective(
-        points, 0.0, lower, dev_floor, constraints.slack_penalty_rho,
-        weight=0.0)
-    for row in fc[1:N_e + 1]:
-        cost = cost + penalized_tracking_objective(points, row, lower,
-                                                   dev_floor, 0.0)
-    return cost
+def horizon_cost(points, requested, lower, constraints, N_e=1):
+    """N_e tracking stages against the persistence forecast, the request
+    itself, plus one slack penalty: the event objective, and with N_e=1 the
+    online one."""
+    requested = np.asarray(requested, dtype=float)
+    dev_floor = requested - constraints.max_deviation
+    return (penalized_tracking_objective(
+                points, 0.0, lower, dev_floor, constraints.slack_penalty_rho,
+                weight=0.0)
+            + N_e * penalized_tracking_objective(points, requested, lower,
+                                                 dev_floor, 0.0))
 
 
 def test_policy_tokens():
@@ -80,23 +76,23 @@ def test_allocate_static_is_projection():
 
 def test_allocate_online_grants_feasible_requests_exactly():
     lower, constraints = identity_setup([5, 7, 3], capacity=20.0)
-    fc = persistence([5, 7, 3], 1)
-    a = allocate_online(fc, lower, constraints)
+    requested = np.array([5.0, 7.0, 3.0])
+    a = allocate_online(requested, lower, constraints)
     assert np.array_equal(a, [5.0, 7.0, 3.0])
-    assert horizon_cost(a, fc, lower, constraints) == 0.0
+    assert horizon_cost(a, requested, lower, constraints) == 0.0
 
 
 def test_allocate_online_binding_instance_matches_grid():
     lower, constraints = identity_setup([4, 4], capacity=5.0, lower=[3, 3])
-    fc = persistence([4, 4], 1)
-    a = allocate_online(fc, lower, constraints)
+    requested = np.array([4.0, 4.0])
+    a = allocate_online(requested, lower, constraints)
     assert np.allclose(a, [2.5, 2.5], atol=1e-6)
-    objective = horizon_cost(a, fc, lower, constraints)
+    objective = horizon_cost(a, requested, lower, constraints)
     assert objective == pytest.approx(504.5, abs=1e-6)
     grid = grid_capped_simplex(2, 5.0, 0.01)
-    dev_floor = fc[0] - constraints.max_deviation
+    dev_floor = requested - constraints.max_deviation
     best = float(np.min(penalized_tracking_objective(
-        grid, np.array([4.0, 4.0]), lower, dev_floor, rho=1e3)))
+        grid, requested, lower, dev_floor, rho=1e3)))
     assert objective <= best + 1e-2
 
 
@@ -107,7 +103,7 @@ def test_allocate_online_zero_penalty_is_projection():
         requested = rng.integers(5, 30, n).astype(float)
         lower, constraints = identity_setup(
             requested, capacity=float(requested.sum() * 0.7), rho=0.0)
-        a = allocate_online(persistence(requested, 1), lower, constraints)
+        a = allocate_online(requested, lower, constraints)
         expect = project_capped_simplex(requested, np.zeros(n),
                                         constraints.capacity_b)
         assert np.allclose(a, expect, atol=1e-6)
@@ -115,60 +111,109 @@ def test_allocate_online_zero_penalty_is_projection():
 
 def test_allocate_online_input_validation():
     lower, constraints = identity_setup([5, 5], capacity=20.0)
-    good = persistence([5, 5], 1)
-    with pytest.raises(ValueError):
-        allocate_online(good[:, :1], lower, constraints)
+    good = np.array([5.0, 5.0])
     with pytest.raises(ValueError):
         allocate_online(good[:1], lower, constraints)
     with pytest.raises(ValueError):
         allocate_online(good * np.nan, lower, constraints)
     with pytest.raises(ValueError):
         allocate_online(good, lower[:1], constraints)
+    with pytest.raises(ValueError):
+        allocate_online(good, lower[:, None], constraints)
 
 
-def test_policies_reject_a_one_dimensional_forecast():
-    # a forecast is (steps, n) with row 0 the current report; a bare report
-    # vector is refused by its shape, not lifted to one row
+def test_policies_reject_malformed_reports():
+    # the reports are one vector shaped like the floors, all finite; a
+    # (steps, n) forecast is refused by its shape, not read row by row
     lower, constraints = identity_setup([5, 5], capacity=20.0)
-    flat = np.array([5.0, 5.0])
-    with pytest.raises(ValueError, match=r"\(steps, n\) array"):
-        allocate_online(flat, lower, constraints)
-    for N_e in (1, 3):
-        with pytest.raises(ValueError, match=r"\(steps, n\) array"):
-            allocate_event(flat, lower, constraints, N_e)
+    bad = {"a (steps, n) forecast": np.array([[5.0, 5.0], [5.0, 5.0]]),
+           "a scalar": np.array(5.0),
+           "too short": np.array([5.0]),
+           "infinite": np.array([5.0, np.inf]),
+           "NaN": np.array([np.nan, 5.0])}
+    for k_prime in bad.values():
+        with pytest.raises(ValueError, match="finite vector"):
+            allocate_online(k_prime, lower, constraints)
+        for N_e in (1, 3):
+            with pytest.raises(ValueError, match="finite vector"):
+                allocate_event(k_prime, lower, constraints, N_e)
+    with pytest.raises(ValueError, match="N_e"):
+        allocate_event(np.array([5.0, 5.0]), lower, constraints, 0)
 
 
 def test_allocate_event_single_step_equals_online():
     lower, constraints = identity_setup([9, 6], capacity=11.0, lower=[2, 2])
-    fc = persistence([9, 6], 1)
-    assert np.array_equal(allocate_event(fc, lower, constraints, N_e=1),
-                          allocate_online(fc, lower, constraints))
+    requested = np.array([9.0, 6.0])
+    assert (allocate_event(requested, lower, constraints, N_e=1).tobytes()
+            == allocate_online(requested, lower, constraints).tobytes())
 
 
-def test_allocate_event_tracks_window_mean():
+def test_allocate_event_tracks_the_reports():
+    # inside the budget the held allocation is the reports, whatever N_e
     lower, constraints = identity_setup([4, 8], capacity=20.0, lower=[1, 1])
-    fc = np.array([[4.0, 8.0], [2.0, 4.0], [4.0, 8.0]])
-    a = allocate_event(fc, lower, constraints, N_e=2)
-    assert np.array_equal(a, [3.0, 6.0])
-    # honest cost at the mean: the two tracking stages do not vanish
-    expect = (1.0 + 4.0) + (1.0 + 4.0)
-    assert horizon_cost(a, fc, lower, constraints,
-                        N_e=2) == pytest.approx(expect)
+    requested = np.array([4.0, 8.0])
+    for N_e in (1, 2, 7):
+        a = allocate_event(requested, lower, constraints, N_e)
+        assert np.array_equal(a, requested)
+        assert horizon_cost(a, requested, lower, constraints, N_e) == 0.0
+    # over budget, N_e tracking stages outweigh the once-counted penalty
+    # more as N_e grows, so the shortfall below the floors grows with it
+    lower, constraints = identity_setup([9, 1], capacity=6.0, lower=[1, 1],
+                                        rho=40.0)
+    shortfall = [float(np.maximum(lower - allocate_event(
+        np.array([9.0, 1.0]), lower, constraints, N_e), 0.0).sum())
+        for N_e in (1, 4, 16)]
+    assert 0.0 < shortfall[0] < shortfall[1] < shortfall[2]
 
 
 def test_allocate_event_binding_instance_matches_grid():
     lower, constraints = identity_setup(
         [6, 6], capacity=5.0, lower=[3, 3], max_deviation=2.0)
-    fc = np.array([[6.0, 6.0], [4.0, 4.0], [6.0, 6.0]])
-    a = allocate_event(fc, lower, constraints, N_e=2)
+    requested = np.array([6.0, 6.0])
+    a = allocate_event(requested, lower, constraints, N_e=2)
     grid = grid_capped_simplex(2, 5.0, 0.01)
-    track = (np.sum((grid - fc[1]) ** 2, axis=1)
-             + np.sum((grid - fc[2]) ** 2, axis=1))
+    track = 2.0 * np.sum((grid - requested) ** 2, axis=1)
     low = np.sum(np.maximum(lower - grid, 0.0) ** 2, axis=1)
-    dev_floor = fc[0] - constraints.max_deviation
+    dev_floor = requested - constraints.max_deviation
     dev = np.sum(np.maximum(dev_floor - grid, 0.0) ** 2, axis=1)
     best = float(np.min(track + 1e3 * (low + dev)))
-    assert horizon_cost(a, fc, lower, constraints, N_e=2) <= best + 1e-2
+    assert horizon_cost(a, requested, lower, constraints, N_e=2) <= best + 1e-2
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 300])
+def test_policies_match_the_forecast_formulation(n):
+    # posed on k' itself, the solves give the bytes of the persistence
+    # forecast's tile and row mean while N_e k' < 2**53
+    rng = np.random.default_rng(4000 + n)
+    for trial in range(100):
+        N_e = trial % 25 + 1
+        high = (46, 2 ** 20, 2 ** 40)[trial % 3]
+        k_prime = rng.integers(1, high, n).astype(float)
+        lower = np.maximum(np.ceil(k_prime - 10.0), 1.0)
+        capacity = float(k_prime.sum() * rng.uniform(0.3, 1.2))
+        rho = (1e3, 1.0, 0.0)[trial % 3]
+        constraints = AllocationConstraints(capacity, 10.0, rho)
+        online = allocate_online(k_prime, lower, constraints)
+        event = allocate_event(k_prime, lower, constraints, N_e)
+        for got, steps in ((online, 1), (event, N_e)):
+            want, _ = hinge_quadratic_solve(*forecast_solve_inputs(
+                k_prime, lower, 10.0, rho, capacity, steps))
+            assert np.array_equal(got, want), (trial, steps)
+        assert (allocate_event(k_prime, lower, constraints, 1).tobytes()
+                == online.tobytes())
+
+
+def test_event_tracks_k_prime_where_the_row_mean_rounded():
+    # near 2**62 (float spacing 1024) the mean of 6 rows of this k' rounds
+    # to k' - 1024; the event solve now tracks k' itself
+    k_prime = np.array([2.0 ** 62 + 2048.0])
+    lower = np.ones(1)
+    constraints = AllocationConstraints(2.0 ** 64, 10.0, 0.0)
+    target = forecast_solve_inputs(k_prime, lower, 10.0, 0.0,
+                                   constraints.capacity_b, 6)[0]
+    assert target[0] == k_prime[0] - 1024.0
+    assert np.array_equal(allocate_event(k_prime, lower, constraints, 6),
+                          k_prime)
 
 
 def test_all_policies_respect_hard_constraints():
@@ -178,12 +223,11 @@ def test_all_policies_respect_hard_constraints():
         requested = rng.integers(1, 41, n).astype(float)
         capacity = float(max(requested.sum() * 0.6, 1.0))
         lower, constraints = identity_setup(requested, capacity)
-        fc = persistence(requested, 3)
         allocations = [
             allocate_equal(n, capacity),
             allocate_static(requested, capacity),
-            allocate_online(fc[:2], lower, constraints),
-            allocate_event(fc, lower, constraints, N_e=3),
+            allocate_online(requested, lower, constraints),
+            allocate_event(requested, lower, constraints, N_e=3),
         ]
         for a in allocations:
             assert np.all(a >= -1e-12)
