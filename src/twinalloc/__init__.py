@@ -10,8 +10,7 @@ regret-triggered event reallocation, and receding-horizon online allocation.
 from .core import (DEFAULT_MAX_DEVIATION, DEFAULT_SLACK_PENALTY,
                    AllocationConstraints, DimensionMismatch,
                    InfeasibleSetError, ScenarioConfig,
-                   ScenarioValidationError, compute_residual,
-                   validate_scenario)
+                   ScenarioValidationError, compute_residual)
 from .engine import (SimResult, SimulationError, compare_policies,
                      evolve_requirements, load_scenario, requirement_walk,
                      run_scenario, save_scenario, scenario_from_dict,
@@ -46,6 +45,5 @@ __all__ = [
     "render_comparison_svg", "render_metrics_csv", "requirement_walk",
     "run_scenario", "save_scenario", "scenario_from_dict",
     "scenario_to_dict", "should_trigger", "step_control", "summarize",
-    "target_walk", "update_regret", "validate_scenario", "write_manifest",
-    "write_metrics_csv",
+    "target_walk", "update_regret", "write_manifest", "write_metrics_csv",
 ]

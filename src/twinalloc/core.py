@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,9 +77,55 @@ def compute_residual(r, a):
     return per_resource, float(norm) if norm.ndim == 0 else norm
 
 
+def _as_float(value):
+    """value as a finite Python float, or None: a bool, a non-number, NaN,
+    an infinity and an int beyond float range have no such form."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            return None
+        if math.isfinite(value):
+            return value
+    return None
+
+
+def _as_int(value):
+    """value as a Python int, or None; an integral finite float counts."""
+    if isinstance(value, numbers.Integral):
+        return None if isinstance(value, bool) else int(value)
+    value = _as_float(value)
+    return int(value) if value is not None and value.is_integer() else None
+
+
+def _as_pair(value):
+    """value as a tuple of two Python ints, or None."""
+    if isinstance(value, (tuple, list)) and len(value) == 2:
+        pair = tuple(map(_as_int, value))
+        if None not in pair:
+            return pair
+    return None
+
+
+# each ScenarioConfig annotation: its canonical form and the rule it names
+_FIELD_KINDS = {
+    "int": (_as_int, "must be an integer"),
+    "tuple[int, int]": (_as_pair, "must be a pair of integers"),
+    "float": (_as_float, "must be a finite number"),
+    "float | None": (_as_float, "must be a finite number when given"),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Simulation scenario parameters.
+    """Simulation scenario parameters, checked and made canonical when built.
+
+    Each field is stored in the canonical form its annotation names: a
+    Python int (an integral finite float counts, a bool never does), a
+    finite Python float, or a tuple of two ints; None stays None where the
+    annotation allows it. A config that breaks a rule raises one
+    ScenarioValidationError naming every broken type rule or, once the
+    types hold, every broken value rule.
 
     capacity_b None means "sum of the realized initial requirements";
     epsilon_per_step None means each twin gets a regret budget of 0.1 x its
@@ -98,83 +144,59 @@ class ScenarioConfig:
     rho: float = DEFAULT_SLACK_PENALTY
     master_seed: int = 0
 
+    def __post_init__(self):
+        diags = []
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is None and field.type.endswith("| None"):
+                continue
+            as_kind, rule = _FIELD_KINDS[field.type]
+            canonical = as_kind(value)
+            if canonical is None:
+                diags.append(f"{field.name} {rule}")
+            else:
+                object.__setattr__(self, field.name, canonical)
+        if diags:
+            raise ScenarioValidationError(diags)
 
-_RANGE_FIELDS = ("requirement_range", "initial_requirement_range")
-_INT_FIELDS = ("n_resources", "n_ticks", "stationary_prefix",
-               "requirement_step_bound", "master_seed")
-_OPTIONAL_FLOAT_FIELDS = ("capacity_b", "epsilon_per_step")
-_FLOAT_FIELDS = ("gap", "rho")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    # integers first: math.isfinite overflows on ints beyond float range
-    return _is_integer(value) or (isinstance(value, numbers.Real)
-                                  and not isinstance(value, bool)
-                                  and math.isfinite(value))
-
-
-def _is_integer_pair(value) -> bool:
-    return (isinstance(value, (tuple, list)) and len(value) == 2
-            and all(map(_is_integer, value)))
-
-
-def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
-    """Check every ScenarioConfig invariant; raise with named diagnostics."""
-    diags = [f"{key} must be an integer" for key in _INT_FIELDS
-             if not _is_integer(getattr(config, key))]
-    diags += [f"{key} must be a pair of integers" for key in _RANGE_FIELDS
-              if not _is_integer_pair(getattr(config, key))]
-    diags += [f"{key} must be a finite number" for key in _FLOAT_FIELDS
-              if not _is_finite(getattr(config, key))]
-    diags += [f"{key} must be a finite number when given"
-              for key in _OPTIONAL_FLOAT_FIELDS
-              if getattr(config, key) is not None
-              and not _is_finite(getattr(config, key))]
-    if diags:
-        raise ScenarioValidationError(diags)
-
-    if config.n_resources < 1:
-        diags.append("n_resources must be >= 1")
-    if config.n_ticks < 1:
-        diags.append("n_ticks must be >= 1")
-    if config.stationary_prefix < 0:
-        diags.append("stationary_prefix must be >= 0")
-    if config.stationary_prefix > config.n_ticks:
-        diags.append("stationary_prefix must be <= n_ticks")
-    if config.capacity_b is not None and not config.capacity_b > 0:
-        diags.append("capacity_b must be positive when given")
-    if config.requirement_step_bound < 0:
-        diags.append("requirement_step_bound must be >= 0")
-    r_lo, r_hi = config.requirement_range
-    i_lo, i_hi = config.initial_requirement_range
-    if r_lo > r_hi:
-        diags.append("requirement_range must satisfy min <= max")
-    if i_lo > i_hi:
-        diags.append("initial_requirement_range must satisfy min <= max")
-    if r_lo < 1:
-        diags.append("requirement_range minimum must be >= 1")
-    if r_hi + config.requirement_step_bound >= 2 ** 63:
-        diags.append("requirement_range maximum + requirement_step_bound "
-                     "must be < 2**63 (the walk's int64 limit)")
-    if i_lo < r_lo or i_hi > r_hi:
-        diags.append("initial_requirement_range must lie inside requirement_range")
-    if config.gap < 0:
-        diags.append("gap must be >= 0")
-    if config.epsilon_per_step is not None and not config.epsilon_per_step > 0:
-        diags.append("epsilon_per_step must be positive when given")
-    if config.rho < 0:
-        diags.append("rho must be >= 0")
-    elif abs(r_hi) < 2 ** 63 and not math.isfinite(
-            (1.0 + 2.0 * config.rho) * (r_hi + DEFAULT_MAX_DEVIATION)):
-        # the allocation solve's largest intermediate would overflow
-        diags.append("rho must keep (1 + 2 rho) * (requirement_range maximum"
-                     " + max deviation) finite")
-    if not 0 <= config.master_seed < 2 ** 64:
-        diags.append("master_seed must fit in an unsigned 64-bit int")
-    if diags:
-        raise ScenarioValidationError(diags)
-    return config
+        if self.n_resources < 1:
+            diags.append("n_resources must be >= 1")
+        if self.n_ticks < 1:
+            diags.append("n_ticks must be >= 1")
+        if self.stationary_prefix < 0:
+            diags.append("stationary_prefix must be >= 0")
+        if self.stationary_prefix > self.n_ticks:
+            diags.append("stationary_prefix must be <= n_ticks")
+        if self.capacity_b is not None and not self.capacity_b > 0:
+            diags.append("capacity_b must be positive when given")
+        if self.requirement_step_bound < 0:
+            diags.append("requirement_step_bound must be >= 0")
+        r_lo, r_hi = self.requirement_range
+        i_lo, i_hi = self.initial_requirement_range
+        if r_lo > r_hi:
+            diags.append("requirement_range must satisfy min <= max")
+        if i_lo > i_hi:
+            diags.append("initial_requirement_range must satisfy min <= max")
+        if r_lo < 1:
+            diags.append("requirement_range minimum must be >= 1")
+        if r_hi + self.requirement_step_bound >= 2 ** 63:
+            diags.append("requirement_range maximum + requirement_step_bound "
+                         "must be < 2**63 (the walk's int64 limit)")
+        if i_lo < r_lo or i_hi > r_hi:
+            diags.append(
+                "initial_requirement_range must lie inside requirement_range")
+        if self.gap < 0:
+            diags.append("gap must be >= 0")
+        if self.epsilon_per_step is not None and not self.epsilon_per_step > 0:
+            diags.append("epsilon_per_step must be positive when given")
+        if self.rho < 0:
+            diags.append("rho must be >= 0")
+        elif abs(r_hi) < 2 ** 63 and not math.isfinite(
+                (1.0 + 2.0 * self.rho) * (r_hi + DEFAULT_MAX_DEVIATION)):
+            # the allocation solve's largest intermediate would overflow
+            diags.append("rho must keep (1 + 2 rho) * (requirement_range "
+                         "maximum + max deviation) finite")
+        if not 0 <= self.master_seed < 2 ** 64:
+            diags.append("master_seed must fit in an unsigned 64-bit int")
+        if diags:
+            raise ScenarioValidationError(diags)

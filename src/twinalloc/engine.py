@@ -20,16 +20,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_FLOAT_FIELDS, _INT_FIELDS, _OPTIONAL_FLOAT_FIELDS,
-                   _RANGE_FIELDS, DEFAULT_MAX_DEVIATION,
-                   AllocationConstraints, ScenarioConfig,
-                   ScenarioValidationError, compute_residual,
-                   validate_scenario)
+from .core import (DEFAULT_MAX_DEVIATION, AllocationConstraints,
+                   ScenarioConfig, ScenarioValidationError, compute_residual)
 from .manager import (PolicyKind, allocate_equal, allocate_event,
                       allocate_online, allocate_static,
                       estimate_event_horizon, should_trigger)
@@ -266,7 +262,6 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
     resetting every twin's regret to zero at that tick. OnlineDynamic
     re-solves the receding-horizon problem every tick.
     """
-    validate_scenario(config)
     return _simulate(config, PolicyKind(policy), seed,
                      requirement_walk(config, seed), target_walk(config, seed))
 
@@ -280,7 +275,7 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
 
     twins = [DigitalTwin() for _ in range(n)]
     # a Python int sum is exact where an int64 sum could wrap
-    capacity = (float(config.capacity_b) if config.capacity_b is not None
+    capacity = (config.capacity_b if config.capacity_b is not None
                 else float(sum(requirement_series[0].tolist())))
     # the run's constants and every tick's reports k' and floors k_lower,
     # checked here once; no tick checks them again
@@ -360,7 +355,6 @@ def compare_policies(config: ScenarioConfig,
     Both walks are drawn once and shared, read-only; each policy runs on
     its own twins, so the results equal four run_scenario calls.
     """
-    validate_scenario(config)
     walks = requirement_walk(config, seed), target_walk(config, seed)
     return {kind: _simulate(config, kind, seed, *walks) for kind in PolicyKind}
 
@@ -370,26 +364,8 @@ def compare_policies(config: ScenarioConfig,
 _SCENARIO_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
 
 
-def _as_int(key: str, value) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    # json.load reads NaN and Infinity as floats; is_integer() rejects both
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ScenarioValidationError([f"{key} must be an integer"])
-
-
-def _as_float(key: str, value) -> float:
-    try:
-        if not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except (TypeError, OverflowError):  # not a number; int beyond float range
-        pass
-    raise ScenarioValidationError([f"{key} must be a finite number"])
-
-
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from a key/value tree.
+    """Build a ScenarioConfig from a key/value tree, which it checks.
 
     Unknown keys are rejected; missing keys fall back to defaults.
     """
@@ -399,27 +375,13 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if unknown:
         raise ScenarioValidationError(
             [f"unknown scenario key: {k}" for k in unknown])
-    kwargs = {}
-    for key, value in data.items():
-        if key in _RANGE_FIELDS:
-            if (not isinstance(value, (list, tuple)) or len(value) != 2):
-                raise ScenarioValidationError(
-                    [f"{key} must be a [min, max] pair"])
-            kwargs[key] = (_as_int(key, value[0]), _as_int(key, value[1]))
-        elif key in _INT_FIELDS:
-            kwargs[key] = _as_int(key, value)
-        elif key in _OPTIONAL_FLOAT_FIELDS:
-            kwargs[key] = None if value is None else _as_float(key, value)
-        elif key in _FLOAT_FIELDS:
-            kwargs[key] = _as_float(key, value)
-    return validate_scenario(ScenarioConfig(**kwargs))
+    return ScenarioConfig(**data)
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
-    data = dataclasses.asdict(config)
-    for key in _RANGE_FIELDS:
-        data[key] = list(data[key])
-    return data
+    # JSON's form of the config: its ranges as lists
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in dataclasses.asdict(config).items()}
 
 
 def load_scenario(path) -> ScenarioConfig:

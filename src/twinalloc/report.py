@@ -73,8 +73,7 @@ def write_metrics_csv(path, table) -> str:
 
 
 def render_comparison_svg(results: dict[PolicyKind, SimResult],
-                          config: ScenarioConfig,
-                          max_deviation: float = DEFAULT_MAX_DEVIATION) -> str:
+                          config: ScenarioConfig) -> str:
     """800x500 line chart: residual per tick per policy, shaded deviation
     band, dashed post-prefix mean lines."""
     width, height = 800, 500
@@ -85,7 +84,7 @@ def render_comparison_svg(results: dict[PolicyKind, SimResult],
     prefix = config.stationary_prefix
 
     y_max = max(max(float(r.residual_inf_series.max()) for r in results.values()),
-                max_deviation) * 1.08
+                DEFAULT_MAX_DEVIATION) * 1.08
     y_max = max(y_max, 1.0)
 
     def sx(t):
@@ -102,8 +101,9 @@ def render_comparison_svg(results: dict[PolicyKind, SimResult],
         'font-family="sans-serif" font-size="15">'
         'Allocation residual by policy</text>',
         # shaded band: residuals within the tolerated shortfall
-        f'<rect class="band" x="{left}" y="{sy(max_deviation):.2f}" '
-        f'width="{plot_w}" height="{sy(0.0) - sy(max_deviation):.2f}" '
+        f'<rect class="band" x="{left}" y="{sy(DEFAULT_MAX_DEVIATION):.2f}" '
+        f'width="{plot_w}" '
+        f'height="{sy(0.0) - sy(DEFAULT_MAX_DEVIATION):.2f}" '
         'fill="#9ecae1" opacity="0.35"/>',
     ]
 

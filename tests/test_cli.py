@@ -201,6 +201,18 @@ def test_invalid_scenario_exits_config(tmp_path, capsys, payload):
     assert "error:" in capsys.readouterr().err
 
 
+def test_invalid_scenario_names_every_field(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"n_resources": "x", "gap": true}')
+    out = tmp_path / "out"
+    code = main(["compare", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "error: n_resources must be an integer" in err
+    assert "error: gap must be a finite number" in err
+
+
 @pytest.mark.parametrize("capacity", ["1e-17", "1e-300", "5e-324"])
 def test_tiny_positive_capacity_runs(tmp_path, capsys, capacity):
     # a budget below the rounding of the projection's cumulative sums must

@@ -1,12 +1,16 @@
 """Shared type and residual-metric tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from twinalloc.core import (DEFAULT_MAX_DEVIATION, DEFAULT_SLACK_PENALTY,
                             AllocationConstraints, DimensionMismatch,
                             ScenarioConfig, ScenarioValidationError,
-                            compute_residual, validate_scenario)
+                            compute_residual)
+from twinalloc.engine import load_scenario, save_scenario
+from twinalloc.report import config_digest
 
 
 def test_constraints_validation():
@@ -60,8 +64,7 @@ def test_residual_translation_consistency():
 
 def test_default_scenario_is_valid_and_idempotent():
     cfg = ScenarioConfig()
-    assert validate_scenario(cfg) is cfg
-    assert validate_scenario(validate_scenario(cfg)) is cfg
+    assert ScenarioConfig(**dataclasses.asdict(cfg)) == cfg
 
 
 @pytest.mark.parametrize("kwargs,needle", [
@@ -87,7 +90,7 @@ def test_default_scenario_is_valid_and_idempotent():
 ])
 def test_scenario_invariant_diagnostics(kwargs, needle):
     with pytest.raises(ScenarioValidationError) as err:
-        validate_scenario(ScenarioConfig(**kwargs))
+        ScenarioConfig(**kwargs)
     assert any(needle in d for d in err.value.diagnostics)
 
 
@@ -114,12 +117,62 @@ def test_malformed_fields_are_named_not_raised(kwargs, diagnostic):
     # a scenario built in code is held to what scenario files are held to:
     # a wrong shape or a boolean is a named diagnostic, never a TypeError
     with pytest.raises(ScenarioValidationError) as err:
-        validate_scenario(ScenarioConfig(**kwargs))
+        ScenarioConfig(**kwargs)
     assert diagnostic in err.value.diagnostics
 
 
 def test_numeric_fields_accept_numpy_and_list_values():
     cfg = ScenarioConfig(requirement_range=[1, 45], gap=np.float64(2.5),
                          rho=np.int64(3), capacity_b=np.float32(100.0),
-                         initial_requirement_range=(np.int64(2), 38))
-    assert validate_scenario(cfg) is cfg
+                         initial_requirement_range=(np.int64(2), 38),
+                         n_ticks=50.0, master_seed=np.uint64(7))
+    canonical = {"requirement_range": (1, 45), "gap": 2.5, "rho": 3.0,
+                 "capacity_b": 100.0, "initial_requirement_range": (2, 38),
+                 "n_ticks": 50, "master_seed": 7, "n_resources": 20}
+    for key, value in canonical.items():
+        stored = getattr(cfg, key)
+        assert stored == value and type(stored) is type(value), key
+        if isinstance(stored, tuple):
+            assert all(type(end) is int for end in stored), key
+
+
+@pytest.mark.parametrize("key", ["rho", "gap", "capacity_b",
+                                 "epsilon_per_step"])
+def test_int_beyond_float_range_is_named_not_raised(key):
+    # float(10**400) raises OverflowError; the config names the field
+    with pytest.raises(ScenarioValidationError) as err:
+        ScenarioConfig(**{key: 10 ** 400})
+    assert any(d.startswith(f"{key} must be a finite number")
+               for d in err.value.diagnostics)
+
+
+def test_numpy_and_list_config_is_hashable_and_saved(tmp_path):
+    cfg = ScenarioConfig(requirement_range=[1, 45], capacity_b=np.float32(100),
+                         gap=np.float64(2.5), n_resources=np.int64(5))
+    plain = ScenarioConfig(requirement_range=(1, 45), capacity_b=100.0,
+                           gap=2.5, n_resources=5)
+    assert hash(cfg) == hash(plain)
+    assert config_digest(cfg) == config_digest(plain)
+    path = tmp_path / "scenario.json"
+    save_scenario(cfg, path)
+    assert load_scenario(path) == cfg
+
+
+def test_equal_configs_share_a_digest():
+    assert ScenarioConfig(gap=4) == ScenarioConfig(gap=4.0)
+    assert config_digest(ScenarioConfig(gap=4)) == config_digest(
+        ScenarioConfig(gap=4.0))
+    assert config_digest(ScenarioConfig(n_ticks=60.0, rho=50)) == \
+        config_digest(ScenarioConfig(n_ticks=60, rho=50.0))
+
+
+def test_every_diagnostic_is_named_type_rules_first():
+    with pytest.raises(ScenarioValidationError) as err:
+        ScenarioConfig(n_resources="x", gap=True, n_ticks=0)
+    # the value rules run only on a well-typed config
+    assert err.value.diagnostics == ["n_resources must be an integer",
+                                     "gap must be a finite number"]
+    with pytest.raises(ScenarioValidationError) as err:
+        ScenarioConfig(n_resources=0, gap=-1.0)
+    assert err.value.diagnostics == ["n_resources must be >= 1",
+                                     "gap must be >= 0"]
