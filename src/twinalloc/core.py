@@ -19,6 +19,12 @@ import numpy as np
 DEFAULT_MAX_DEVIATION = 10.0
 # Quadratic penalty weight on soft-constraint slack.
 DEFAULT_SLACK_PENALTY = 1e3
+# Largest n_resources * n_ticks a scenario may ask for. A compare run keeps
+# twelve (n_ticks, n_resources) arrays of 8-byte cells: the requirement and
+# target walks, the reports and their floors, and per policy its regret and
+# allocation series; this cap holds them in 4 GiB. It is below 2**32, the
+# walk's substream index limit on n_resources.
+MAX_RUN_CELLS = 2 ** 32 // (12 * 8)
 
 
 class DimensionMismatch(ValueError):
@@ -163,6 +169,9 @@ class ScenarioConfig:
             diags.append("n_resources must be >= 1")
         if self.n_ticks < 1:
             diags.append("n_ticks must be >= 1")
+        elif self.n_resources * self.n_ticks > MAX_RUN_CELLS:
+            diags.append(f"n_resources * n_ticks must be <= {MAX_RUN_CELLS}, "
+                         "the cells a run's arrays hold in 4 GiB")
         if self.stationary_prefix < 0:
             diags.append("stationary_prefix must be >= 0")
         if self.stationary_prefix > self.n_ticks:

@@ -44,8 +44,8 @@ def allocate_equal(n: int, capacity_b: float) -> np.ndarray:
 def allocate_static(expected_r, capacity_b: float) -> np.ndarray:
     """Best fixed allocation for an expected requirement vector.
 
-    Tracking-only least squares over the budget set; the minimizer is the
-    Euclidean projection of the expected requirements.
+    Tracking-only least squares over the budget set: the Euclidean
+    projection of the expected requirements, the hinge solve at rho = 0.
     """
     r_bar = np.asarray(expected_r, dtype=float)
     return project_capped_simplex(r_bar, np.zeros_like(r_bar), capacity_b)

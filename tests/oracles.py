@@ -3,9 +3,11 @@
 Everything here is deliberately brute force: dense grids, exhaustive
 active-set enumeration, rejection sampling, a step-by-step descent, a
 breakpoint search one knot at a time. None of it shares code with the
-package under test. Two exceptions are earlier forms kept to prove their
-successors bit-exact: step_control_pair, the twin's control step, and
-forecast_solve_inputs, the allocation policies' persistence-forecast inputs.
+package under test. Three exceptions are earlier forms kept to check their
+successors: step_control_pair, the twin's control step, and
+forecast_solve_inputs, the allocation policies' persistence-forecast inputs,
+both bit-exact; and project_capped_simplex_sort, the projection before it
+became the hinge solve at rho = 0, within rounding.
 """
 
 import itertools
@@ -67,6 +69,34 @@ def sample_capped_simplex(rng, n, lower, capacity, count):
         out[have:have + take] = keep[:take]
         have += take
     return out
+
+
+def project_capped_simplex_sort(x, lower, capacity):
+    """Projection onto {y >= lower, sum(y) <= capacity} by sort and threshold.
+
+    Shifts to z = x - lower and projects z onto {w >= 0, sum(w) <= budget},
+    budget = capacity - sum(lower): the clamp at zero when it fits the
+    budget, else max(z - theta, 0) with theta from the sorted cumulative
+    sums, in O(n log n).
+    """
+    x = np.asarray(x, dtype=float)
+    lower = np.broadcast_to(np.asarray(lower, dtype=float), x.shape).astype(float)
+    budget = max(float(capacity) - float(lower.sum()), 0.0)
+    z = x - lower
+    w = np.maximum(z, 0.0)
+    if w.sum() <= budget:
+        return lower + w
+    if budget == 0.0:
+        return lower.copy()
+    u = np.sort(z)[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, u.size + 1)
+    thetas = (css - budget) / ks
+    # in exact arithmetic the largest coordinate is always active; a budget
+    # below the rounding of css can leave u > thetas all false
+    k = int(np.nonzero(u > thetas)[0].max(initial=0)) + 1
+    theta = (css[k - 1] - budget) / k
+    return lower + np.maximum(z - theta, 0.0)
 
 
 def penalized_tracking_objective(a, target, soft_lower, dev_floor, rho,

@@ -215,8 +215,9 @@ def test_invalid_scenario_names_every_field(tmp_path, capsys):
 
 @pytest.mark.parametrize("capacity", ["1e-17", "1e-300", "5e-324"])
 def test_tiny_positive_capacity_runs(tmp_path, capsys, capacity):
-    # a budget below the rounding of the projection's cumulative sums must
-    # still give the static and event policies a feasible split at tick 0
+    # a budget below the rounding of the requirement sums must still give
+    # the static and event policies a feasible split at tick 0: the solve's
+    # multiplier lands on the largest knot and every grant is zero
     scenario = tmp_path / "scenario.json"
     scenario.write_text(f'{{"capacity_b": {capacity}, "n_ticks": 5, '
                         '"stationary_prefix": 1}')
@@ -224,6 +225,39 @@ def test_tiny_positive_capacity_runs(tmp_path, capsys, capacity):
     code = main(["compare", "--scenario", str(scenario), "--out", str(out)])
     assert code == 0, capsys.readouterr().err
     assert (out / "summary.txt").exists()
+
+
+def test_failed_certificate_exits_solver_naming_the_tick(tmp_path, capsys,
+                                                         monkeypatch):
+    # a negative slack fails every binding solve's certificate; the static
+    # solve binds at tick 0 under this capacity
+    monkeypatch.setattr("twinalloc.solver._BUDGET_SLACK", -1.0)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"capacity_b": 123.456, "n_ticks": 20}')
+    out = tmp_path / "out"
+    code = main(["compare", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+    assert "error: tick 0: budget multiplier" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload", [
+    (["compare"], '{"n_ticks": 1e300}'),
+    (["simulate", "--policy", "equal"], '{"n_ticks": 1e13, "n_resources": 1}'),
+])
+def test_oversized_run_exits_config_without_outputs(tmp_path, capsys,
+                                                    command, payload):
+    # both used to fail inside the walk with exit 3, from numpy's dimension
+    # limit and from a 72.8 TiB allocation
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(payload)
+    out = tmp_path / "out"
+    code = main(command + ["--scenario", str(scenario), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "error: n_resources * n_ticks must be <= " in err
+    assert "error: tick" not in err
 
 
 def test_overflowing_rho_exits_config_without_outputs(tmp_path, capsys):

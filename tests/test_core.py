@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from twinalloc.core import (DEFAULT_MAX_DEVIATION, DEFAULT_SLACK_PENALTY,
-                            AllocationConstraints, DimensionMismatch,
+                            MAX_RUN_CELLS, AllocationConstraints,
+                            DimensionMismatch,
                             ScenarioConfig, ScenarioValidationError,
                             compute_residual)
 from twinalloc.engine import load_scenario, save_scenario
@@ -92,6 +93,24 @@ def test_scenario_invariant_diagnostics(kwargs, needle):
     with pytest.raises(ScenarioValidationError) as err:
         ScenarioConfig(**kwargs)
     assert any(needle in d for d in err.value.diagnostics)
+
+
+def test_run_size_is_capped_at_load_time():
+    # configs are only checked here, never run: at the cap a config builds;
+    # one cell more, a 2**32-wide run or an astronomically long one gets
+    # one diagnostic naming both fields
+    assert MAX_RUN_CELLS < 2 ** 32
+    ScenarioConfig(n_resources=MAX_RUN_CELLS, n_ticks=1, stationary_prefix=0)
+    ScenarioConfig(n_resources=1, n_ticks=MAX_RUN_CELLS)
+    for kwargs in (dict(n_resources=MAX_RUN_CELLS + 1, n_ticks=1,
+                        stationary_prefix=0),
+                   dict(n_resources=2 ** 32, n_ticks=1, stationary_prefix=0),
+                   dict(n_ticks=1e300), dict(n_ticks=1e13, n_resources=1)):
+        with pytest.raises(ScenarioValidationError) as err:
+            ScenarioConfig(**kwargs)
+        assert err.value.diagnostics == [
+            f"n_resources * n_ticks must be <= {MAX_RUN_CELLS}, the cells a "
+            "run's arrays hold in 4 GiB"]
 
 
 @pytest.mark.parametrize("kwargs,diagnostic", [

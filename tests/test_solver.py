@@ -1,14 +1,19 @@
 """Projection and projected-gradient solver tests against independent oracles."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from tests.oracles import (box_qp_oracle, grid_capped_simplex,
                            hinge_quadratic_solve_bisection,
-                           penalized_tracking_objective, sample_capped_simplex)
+                           penalized_tracking_objective,
+                           project_capped_simplex_sort, sample_capped_simplex)
+from twinalloc import solver
 from twinalloc.core import InfeasibleSetError
 from twinalloc.solver import (_KNOT_BLOCK, BoxSet, PGAConfig,
-                              SmoothConvexProblem, hinge_quadratic_solve,
+                              SmoothConvexProblem, SolverError,
+                              hinge_quadratic_solve,
                               iterations_for_delta, pga_solve,
                               project_capped_simplex)
 
@@ -91,12 +96,51 @@ def test_capped_simplex_edge_cases():
 
 
 def test_capped_simplex_tiny_positive_budget():
-    # a budget below the rounding of the sorted cumulative sums leaves no
-    # coordinate above its threshold; the largest one is active regardless
+    # a budget below the rounding of the knots' sums puts the multiplier at
+    # the largest knot, where every coordinate is clipped to zero; zeros
+    # are feasible, and within rounding of the budget
     for capacity in (1e-17, 1e-300, 5e-324):
         out = project_capped_simplex([5.0, 7.0, 3.0], 0.0, capacity)
         assert np.all(out >= 0.0)
         assert out.sum() <= capacity
+
+
+def test_capped_simplex_matches_sort_reference_within_rounding():
+    # random floats, with and without lower bounds, and budgets from
+    # binding through tiny to zero
+    rng = np.random.default_rng(41)
+    for i in range(2000):
+        n = int(rng.integers(1, 50))
+        x = rng.uniform(-10, 30, n)
+        lower = rng.uniform(0, 3, n) if i % 2 else np.zeros(n)
+        budget = float(rng.uniform(0, 1.2 * np.maximum(x - lower, 0).sum()))
+        if i % 7 == 0:
+            budget = (1e-17, 1e-300, 5e-324, 0.0)[i // 7 % 4]
+        capacity = float(lower.sum()) + budget
+        new = project_capped_simplex(x, lower, capacity)
+        old = project_capped_simplex_sort(x, lower, capacity)
+        tol = 8 * n * 2.0 ** -53 * max(capacity, float(np.abs(x).max()))
+        assert np.abs(new - old).max() <= tol
+
+
+def test_capped_simplex_exact_on_integer_inputs():
+    # integer requirements and budgets, as in every workload: where the
+    # budget does not bind, or binds at an integer threshold, both the
+    # solve and the sort reference give the exact answer, byte for byte
+    rng = np.random.default_rng(43)
+    for i in range(500):
+        n = int(rng.integers(1, 60))
+        x = rng.integers(-5, 46, n).astype(float)
+        lower = rng.integers(0, 3, n).astype(float) if i % 2 else np.zeros(n)
+        z = x - lower
+        theta = float(rng.integers(0, max(z.max(), 1))) if i % 3 else 0.0
+        expect = lower + np.maximum(z - theta, 0.0)
+        capacity = float(expect.sum()) + (rng.integers(0, 5) if i % 3 == 0
+                                          else 0)
+        assert np.array_equal(project_capped_simplex(x, lower, capacity),
+                              expect)
+        assert np.array_equal(project_capped_simplex_sort(x, lower, capacity),
+                              expect)
 
 
 def test_constraint_set_geometry():
@@ -257,11 +301,60 @@ def test_hinge_solve_matches_grid_on_binding_instance():
     assert obj <= best + 1e-2
 
 
+def test_empty_allocation_is_empty():
+    assert hinge_quadratic_solve([], [], [], 1.0, 5.0)[0].size == 0
+    assert project_capped_simplex([], 0.0, 1.0).size == 0
+
+
 def test_hinge_solve_rejects_bad_input():
     with pytest.raises(ValueError):
         hinge_quadratic_solve([1.0], [0.0], [0.0], -1.0, 5.0)
     with pytest.raises(InfeasibleSetError):
         hinge_quadratic_solve([1.0], [0.0], [0.0], 1e3, -1.0)
+
+
+def _mutant(old, new):
+    """hinge_quadratic_solve with its one line old replaced by new."""
+    source = inspect.getsource(solver.hinge_quadratic_solve)
+    assert source.count(old) == 1
+    namespace = dict(vars(solver))
+    exec(source.replace(old, new), namespace)
+    return namespace["hinge_quadratic_solve"]
+
+
+_INTERPOLATION = ("s = lo_s + (lo_sum - capacity) * (hi_s - lo_s) "
+                  "/ (lo_sum - hi_sum)")
+
+
+def test_unmutated_copy_matches_solve():
+    args = ([5.0, 7.0, -3.0], 0.0, 0.0, 0.0, 5.0)
+    a, _ = _mutant(_INTERPOLATION, _INTERPOLATION)(*args)
+    assert np.array_equal(a, [1.5, 3.5, 0.0])
+    assert np.array_equal(a, hinge_quadratic_solve(*args)[0])
+
+
+@pytest.mark.parametrize("old, new", [
+    (_INTERPOLATION, "s = lo_s"),                    # bracket's lower end
+    (_INTERPOLATION, "s = hi_s"),                    # bracket's upper end
+    (_INTERPOLATION, "s = -(" + _INTERPOLATION[4:] + ")"),  # sign flipped
+    ("return np.maximum(a, 0.0)", "return a"),      # zero clip dropped
+])
+@pytest.mark.parametrize("args", [
+    ([5.0, 7.0, -3.0], 0.0, 0.0, 0.0, 5.0),
+    ([5.0, 7.0, -3.0], [4.0, 4.0, 1.0], [-5.0, -3.0, -13.0], 1e3, 5.0),
+])
+def test_certificate_rejects_mutated_solve(old, new, args):
+    # the budget binds (a(0) sums to 12 and about 13, above 5) and the last
+    # target is negative, so each mutation breaks a checked KKT condition
+    with pytest.raises(SolverError):
+        _mutant(old, new)(*args)
+
+
+def test_certificate_rejects_non_finite_allocation():
+    with pytest.raises(SolverError), np.errstate(invalid="ignore"):
+        hinge_quadratic_solve([np.inf, 1.0], 0.0, 0.0, 1.0, 5.0)
+    with pytest.raises(SolverError):
+        hinge_quadratic_solve([np.nan, 1.0], 0.0, 0.0, 0.0, 50.0)
 
 
 def _check_kkt(a, target, soft_lower, dev_floor, rho, capacity):
