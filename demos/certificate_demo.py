@@ -8,8 +8,8 @@ so plain descent converges slowly and the bound is not vacuous.
 
 import numpy as np
 
-from twinalloc import (BoxSet, PGAConfig, SmoothConvexProblem,
-                       iterations_for_delta, pga_solve)
+from twinalloc import (BoxSet, SmoothConvexProblem, iterations_for_delta,
+                       pga_solve)
 
 
 def main():
@@ -35,10 +35,7 @@ def main():
     print(f"{'delta':>8} {'certified k':>12} {'actual gap':>12} {'gap<=delta':>11}")
     for delta in (2.0, 1.0, 0.5, 0.2, 0.1, 0.05):
         k = iterations_for_delta(box.diameter(), alpha, delta)
-        run = pga_solve(problem, x0,
-                        PGAConfig(step_alpha=alpha, max_iterations=k,
-                                  stall_tolerance=0.0))
-        gap = problem.objective(run.x) - f_star
+        gap = problem.objective(pga_solve(problem, x0, alpha, k)) - f_star
         print(f"{delta:>8.2f} {k:>12d} {gap:>12.5f} {str(gap <= delta):>11}")
 
 

@@ -21,9 +21,8 @@ from .manager import (PolicyKind, allocate_equal, allocate_event,
 from .report import (build_manifest, config_digest, render_comparison_svg,
                      render_metrics_csv, summarize, write_manifest,
                      write_metrics_csv)
-from .solver import (BoxSet, PGAConfig, PGAResult, SmoothConvexProblem,
-                     SolverError, iterations_for_delta, pga_solve,
-                     project_capped_simplex)
+from .solver import (BoxSet, SmoothConvexProblem, SolverError,
+                     iterations_for_delta, pga_solve, project_capped_simplex)
 from .twin import (DigitalTwin, check_satisfaction, compute_requirement,
                    forecast_requirements, regret_budgets, step_control,
                    update_regret)
@@ -33,17 +32,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationConstraints", "BoxSet", "DEFAULT_MAX_DEVIATION",
     "DEFAULT_SLACK_PENALTY", "DigitalTwin", "DimensionMismatch",
-    "InfeasibleSetError", "PGAConfig", "PGAResult", "PolicyKind",
-    "ScenarioConfig", "ScenarioValidationError", "SimResult",
-    "SimulationError", "SmoothConvexProblem", "SolverError",
-    "allocate_equal", "allocate_event", "allocate_online",
-    "allocate_static", "build_manifest", "check_satisfaction",
-    "compare_policies", "compute_requirement", "compute_residual",
-    "config_digest", "estimate_event_horizon", "evolve_requirements",
-    "forecast_requirements", "iterations_for_delta", "load_scenario",
-    "pga_solve", "project_capped_simplex", "regret_budgets",
+    "InfeasibleSetError", "PolicyKind", "ScenarioConfig",
+    "ScenarioValidationError", "SimResult", "SimulationError",
+    "SmoothConvexProblem", "SolverError", "allocate_equal", "allocate_event",
+    "allocate_online", "allocate_static", "build_manifest",
+    "check_satisfaction", "compare_policies", "compute_requirement",
+    "compute_residual", "config_digest", "estimate_event_horizon",
+    "evolve_requirements", "forecast_requirements", "iterations_for_delta",
+    "load_scenario", "pga_solve", "project_capped_simplex", "regret_budgets",
     "render_comparison_svg", "render_metrics_csv", "requirement_walk",
-    "run_scenario", "save_scenario", "scenario_from_dict",
-    "scenario_to_dict", "should_trigger", "step_control", "summarize",
-    "target_walk", "update_regret", "write_manifest", "write_metrics_csv",
+    "run_scenario", "save_scenario", "scenario_from_dict", "scenario_to_dict",
+    "should_trigger", "step_control", "summarize", "target_walk",
+    "update_regret", "write_manifest", "write_metrics_csv",
 ]

@@ -328,8 +328,6 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
 
             regret_series[t] = regret
             allocation_series[t] = alloc
-        except SimulationError:
-            raise
         except Exception as exc:
             raise SimulationError(t, str(exc)) from exc
 

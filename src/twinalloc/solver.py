@@ -3,14 +3,15 @@
 For a convex objective with L-Lipschitz gradient minimized over a convex set
 of diameter D with step size alpha <= 1/L, the iterate after k steps is
 within D^2 / (2 alpha k) of optimal. Inverting that bound gives the number
-of iterations that certifies a target suboptimality, which is what the
-digital twins report to the network manager as their compute requirement.
+of iterations that certifies a target suboptimality (iterations_for_delta),
+which is what the digital twins report to the network manager as their
+compute requirement; pga_solve runs exactly that many steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, inf
 from typing import Callable
 
 import numpy as np
@@ -48,8 +49,8 @@ class BoxSet:
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lower.shape != upper.shape:
             raise InfeasibleSetError("box bound shapes differ")
-        if np.any(lower > upper):
-            raise InfeasibleSetError("box has lower > upper")
+        if not np.all(lower <= upper):
+            raise InfeasibleSetError("box needs lower <= upper, without NaN")
         lower.flags.writeable = False
         upper.flags.writeable = False
         object.__setattr__(self, "lower", lower)
@@ -81,93 +82,45 @@ class SmoothConvexProblem:
             raise ValueError("lipschitz_l must be positive")
 
 
-@dataclass(frozen=True)
-class PGAConfig:
-    """Stopping policy for pga_solve.
-
-    tolerance_delta None runs a predefined fixed number of iterations
-    (max_iterations) instead of stopping at a certificate count.
-    """
-
-    step_alpha: float
-    max_iterations: int = 100_000
-    tolerance_delta: float | None = None
-    stall_tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if not self.step_alpha > 0:
-            raise ValueError("step_alpha must be positive")
-        if self.tolerance_delta is not None and not self.tolerance_delta > 0:
-            raise ValueError("tolerance_delta must be positive when given")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.stall_tolerance < 0:
-            raise ValueError("stall_tolerance must be >= 0")
-
-
-@dataclass(frozen=True)
-class PGAResult:
-    x: np.ndarray
-    iterations: int
-    objective_trace: np.ndarray   # length iterations + 1, trace[0] = f(x0)
-    stop_reason: str              # "certificate" | "stall" | "max_iterations"
-
-
 def iterations_for_delta(diameter: float, step_alpha: float, delta: float) -> int:
     """Iterations certifying suboptimality <= delta: ceil(D^2 / (2 alpha delta)).
 
     Never less than 1. The guard factor keeps counts that are an integer up
     to float rounding from ceiling one step too high.
     """
-    if diameter < 0:
-        raise ValueError("diameter must be nonnegative")
+    if not 0 <= diameter < inf:
+        raise ValueError("diameter must be finite and nonnegative")
     if not step_alpha > 0:
         raise ValueError("step_alpha must be positive")
     if not delta > 0:
         raise ValueError("delta must be positive")
-    raw = diameter * diameter / (2.0 * step_alpha * delta)
+    scale = 2.0 * step_alpha * delta          # 0 only by underflow
+    raw = diameter * diameter / scale if scale else (inf if diameter else 0.0)
+    if raw == inf:
+        raise ValueError("certificate count exceeds the float range")
     return max(int(ceil(raw * _CEIL_GUARD)), 1)
 
 
-def pga_solve(problem: SmoothConvexProblem, x0, config: PGAConfig) -> PGAResult:
-    """Run x <- project(x - alpha * grad f(x)) until a stop condition fires.
+def pga_solve(problem: SmoothConvexProblem, x0, step_alpha: float,
+              iterations: int) -> np.ndarray:
+    """Project x0, run exactly `iterations` steps of
+    x <- project(x - step_alpha * grad f(x)) and return the last iterate.
 
-    Stops at the first of: the certificate count implied by tolerance_delta
-    over the set diameter, an iterate stall below stall_tolerance in the inf
-    norm, or max_iterations. With step_alpha <= 1/L (enforced here) the
-    objective trace is non-increasing.
+    step_alpha must lie in (0, 1/L]; iterations_for_delta gives the count
+    that certifies a target suboptimality.
     """
+    if not 0 < step_alpha <= _STEP_SLACK / problem.lipschitz_l:
+        raise ValueError(f"step_alpha {step_alpha:g} is not in "
+                         f"(0, 1/L = {1.0 / problem.lipschitz_l:g}]")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     feasible_set = problem.feasible_set
-    alpha = config.step_alpha
-    if alpha > _STEP_SLACK / problem.lipschitz_l:
-        raise ValueError(
-            f"step_alpha {alpha:g} exceeds 1/L = {1.0 / problem.lipschitz_l:g}")
-    certificate = None
-    if config.tolerance_delta is not None:
-        certificate = iterations_for_delta(
-            feasible_set.diameter(), alpha, config.tolerance_delta)
-
     x = feasible_set.project(np.atleast_1d(np.asarray(x0, dtype=float)))
-    trace = [float(problem.objective(x))]
-    stop_reason = "max_iterations"
-    iterations = 0
-    for k in range(1, config.max_iterations + 1):
-        x_new = feasible_set.project(x - alpha * problem.gradient(x))
-        if not np.all(np.isfinite(x_new)):
+    for k in range(1, iterations + 1):
+        x = feasible_set.project(x - step_alpha * problem.gradient(x))
+        if not np.all(np.isfinite(x)):
             raise SolverError(f"non-finite iterate at iteration {k}")
-        trace.append(float(problem.objective(x_new)))
-        step_inf = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        iterations = k
-        if certificate is not None and k >= certificate:
-            stop_reason = "certificate"
-            break
-        if step_inf < config.stall_tolerance:
-            stop_reason = "stall"
-            break
-    return PGAResult(x=x, iterations=iterations,
-                     objective_trace=np.asarray(trace),
-                     stop_reason=stop_reason)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from twinalloc.core import AllocationConstraints, ScenarioConfig
 from twinalloc.engine import compare_policies, save_scenario
 from twinalloc.manager import (PolicyKind, allocate_event, allocate_online,
                                allocate_static)
-from twinalloc.solver import (BoxSet, PGAConfig, SmoothConvexProblem,
-                              pga_solve, project_capped_simplex)
+from twinalloc.solver import (BoxSet, SmoothConvexProblem, pga_solve,
+                              project_capped_simplex)
 from twinalloc.twin import (DigitalTwin, compute_requirement, step_control,
                             update_regret)
 
@@ -120,13 +120,10 @@ def test_criterion_4_certificate_bound():
                 feasible_set=BoxSet(np.zeros(n), upper))
             k = int(rng.integers(1, 201))
             x0 = rng.uniform(0, upper)
-            result = pga_solve(problem, x0,
-                               PGAConfig(step_alpha=alpha, max_iterations=k,
-                                         stall_tolerance=0.0))
-            assert result.iterations == k
+            x = pga_solve(problem, x0, alpha, k)
             x_star, f_star = box_qp_oracle(Q, c, np.zeros(n), upper)
             bound = float(np.sum((x0 - x_star) ** 2)) / (2.0 * alpha * k)
-            gap = problem.objective(result.x) - f_star
+            gap = problem.objective(x) - f_star
             rel_excess = (gap - bound) / max(1.0, abs(bound))
             worst = max(worst, rel_excess)
         assert worst <= 1e-9

@@ -301,6 +301,19 @@ def test_import_and_load_leave_numpy_random_unloaded(cli_env, tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_every_public_name_resolves_and_star_import_is_clean():
+    # a name deleted from the package but still listed in __all__ fails both
+    assert [name for name in twinalloc.__all__
+            if not hasattr(twinalloc, name)] == []
+    src = str(Path(twinalloc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", "from twinalloc import *"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def reject_constant(token):
     raise ValueError(f"not JSON: {token}")
 

@@ -11,9 +11,8 @@ from tests.oracles import (box_qp_oracle, grid_capped_simplex,
                            project_capped_simplex_sort, sample_capped_simplex)
 from twinalloc import solver
 from twinalloc.core import InfeasibleSetError
-from twinalloc.solver import (_KNOT_BLOCK, BoxSet, PGAConfig,
-                              SmoothConvexProblem, SolverError,
-                              hinge_quadratic_solve,
+from twinalloc.solver import (_KNOT_BLOCK, BoxSet, SmoothConvexProblem,
+                              SolverError, hinge_quadratic_solve,
                               iterations_for_delta, pga_solve,
                               project_capped_simplex)
 
@@ -147,29 +146,27 @@ def test_constraint_set_geometry():
     box = BoxSet([0.0, 0.0], [3.0, 4.0])
     assert box.diameter() == pytest.approx(5.0)
     assert box.contains([1.0, 2.0]) and not box.contains([5.0, 0.0])
-    with pytest.raises(InfeasibleSetError):
-        BoxSet([2.0], [1.0])
+    for lower, upper in (([2.0], [1.0]), ([np.nan], [1.0]), ([0.0], [np.nan])):
+        with pytest.raises(InfeasibleSetError):
+            BoxSet(lower, upper)
 
 
 # ------------------------------------------------------------------ pga_solve
 
 def test_pga_one_step_exact_on_unit_curvature():
     problem = quadratic_problem(np.eye(1), np.array([-3.0]), 0.0, 10.0)
-    config = PGAConfig(step_alpha=1.0, max_iterations=1, stall_tolerance=0.0)
-    result = pga_solve(problem, [0.0], config)
-    assert result.iterations == 1
-    assert np.array_equal(result.x, [3.0])
-    assert result.objective_trace[0] == pytest.approx(0.0)
-    assert result.objective_trace[-1] == pytest.approx(-4.5)
+    x = pga_solve(problem, [0.0], 1.0, 1)
+    assert np.array_equal(x, [3.0])
+    assert problem.objective(x) == pytest.approx(-4.5)
 
 
-def test_pga_stalls_at_boundary_fixed_point():
+def test_pga_boundary_fixed_point():
     # unconstrained minimum sits outside the box, so the boundary is optimal
     problem = quadratic_problem(np.eye(2), np.array([-15.0, 3.0]),
                                 [0.0, 0.0], [10.0, 10.0])
-    result = pga_solve(problem, [4.0, 4.0], PGAConfig(step_alpha=1.0))
-    assert result.stop_reason == "stall"
-    assert np.allclose(result.x, [10.0, 0.0], atol=1e-9)
+    x = pga_solve(problem, [4.0, 4.0], 1.0, 1)
+    assert np.array_equal(x, [10.0, 0.0])
+    assert np.array_equal(pga_solve(problem, x, 1.0, 50), x)
 
 
 def test_pga_matches_active_set_oracle():
@@ -181,12 +178,11 @@ def test_pga_matches_active_set_oracle():
         c = rng.normal(scale=3.0, size=n)
         upper = rng.uniform(1, 4, n)
         problem = quadratic_problem(Q, c, np.zeros(n), upper)
-        config = PGAConfig(step_alpha=1.0 / problem.lipschitz_l,
-                           max_iterations=60_000, stall_tolerance=1e-14)
-        result = pga_solve(problem, rng.uniform(0, 1, n), config)
+        x = pga_solve(problem, rng.uniform(0, 1, n),
+                      1.0 / problem.lipschitz_l, 2000)
         x_ref, obj_ref = box_qp_oracle(Q, c, np.zeros(n), upper)
-        assert np.allclose(result.x, x_ref, atol=1e-5)
-        assert problem.objective(result.x) <= obj_ref + 1e-9
+        assert np.allclose(x, x_ref, atol=1e-5)
+        assert problem.objective(x) <= obj_ref + 1e-9
 
 
 def test_pga_trace_non_increasing():
@@ -195,63 +191,56 @@ def test_pga_trace_non_increasing():
     Q = M.T @ M + 0.1 * np.eye(4)
     problem = quadratic_problem(Q, rng.normal(size=4), np.zeros(4),
                                 np.full(4, 5.0))
-    config = PGAConfig(step_alpha=1.0 / problem.lipschitz_l,
-                       max_iterations=500, stall_tolerance=0.0)
-    trace = pga_solve(problem, rng.uniform(0, 5, 4), config).objective_trace
-    assert trace.size == 501
+    alpha = 1.0 / problem.lipschitz_l
+    x = rng.uniform(0, 5, 4)
+    trace = [problem.objective(x)]
+    for _ in range(500):
+        x = pga_solve(problem, x, alpha, 1)
+        trace.append(problem.objective(x))
     assert np.all(np.diff(trace) <= 1e-12)
 
 
 def test_pga_rejects_oversized_step():
     problem = quadratic_problem(2.0 * np.eye(1), np.array([0.0]), 0.0, 1.0)
     with pytest.raises(ValueError):
-        pga_solve(problem, [0.5], PGAConfig(step_alpha=0.6))
+        pga_solve(problem, [0.5], 0.6, 1)
     # alpha computed exactly as 1/L must pass
-    pga_solve(problem, [0.5], PGAConfig(step_alpha=0.5, max_iterations=2))
+    pga_solve(problem, [0.5], 1.0 / problem.lipschitz_l, 2)
 
 
-def test_pga_stop_reasons():
-    problem = quadratic_problem(2.0 * np.eye(2), np.array([-4.0, -4.0]),
+def test_pga_certified_iterations_meet_delta():
+    # a nearly flat second coordinate keeps the bound from being vacuous
+    Q = np.diag([1.0, 0.01])
+    problem = quadratic_problem(Q, np.array([-1.0, -0.05]),
                                 np.zeros(2), np.full(2, 10.0))
-    cert = pga_solve(problem, [0.0, 0.0],
-                     PGAConfig(step_alpha=0.5, max_iterations=10_000,
-                               tolerance_delta=10.0, stall_tolerance=0.0))
-    expected = iterations_for_delta(problem.feasible_set.diameter(), 0.5, 10.0)
-    assert cert.stop_reason == "certificate"
-    assert cert.iterations == expected
-    assert cert.objective_trace.size == expected + 1
-
-    capped = pga_solve(problem, [9.0, 9.0],
-                       PGAConfig(step_alpha=0.25, max_iterations=7,
-                                 stall_tolerance=0.0))
-    assert capped.stop_reason == "max_iterations"
-    assert capped.iterations == 7
-
-    stalled = pga_solve(problem, [9.0, 9.0], PGAConfig(step_alpha=0.5))
-    assert stalled.stop_reason == "stall"
-    assert np.allclose(stalled.x, [2.0, 2.0], atol=1e-9)
+    f_star = problem.objective(np.array([1.0, 5.0]))
+    for delta in (5.0, 1.0, 0.1, 0.01):
+        k = iterations_for_delta(problem.feasible_set.diameter(), 1.0, delta)
+        x = pga_solve(problem, [10.0, 0.0], 1.0, k)
+        assert 0.0 <= problem.objective(x) - f_star <= delta
 
 
 def test_pga_projects_start_point():
-    problem = quadratic_problem(np.eye(1), np.array([-20.0]), 0.0, 10.0)
-    result = pga_solve(problem, [99.0],
-                       PGAConfig(step_alpha=1.0, max_iterations=3))
-    assert problem.feasible_set.contains(result.x)
-    assert result.objective_trace[0] == pytest.approx(0.5 * 100 - 200)
+    # one step from the projected start 10 gives 7.5; from 99 it gives 52,
+    # which the box clips to 10
+    problem = quadratic_problem(np.eye(1), np.array([-5.0]), 0.0, 10.0)
+    assert np.array_equal(pga_solve(problem, [99.0], 0.5, 1), [7.5])
 
 
-def test_problem_and_config_validation():
+def test_problem_and_argument_validation():
     box = BoxSet([0.0], [1.0])
     with pytest.raises(ValueError):
         SmoothConvexProblem(lambda x: 0.0, lambda x: x, 0.0, box)
+    problem = SmoothConvexProblem(lambda x: 0.0, lambda x: x, 1.0, box)
+    for alpha in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            pga_solve(problem, [0.5], alpha, 1)
     with pytest.raises(ValueError):
-        PGAConfig(step_alpha=0.0)
-    with pytest.raises(ValueError):
-        PGAConfig(step_alpha=1.0, tolerance_delta=0.0)
-    with pytest.raises(ValueError):
-        PGAConfig(step_alpha=1.0, max_iterations=0)
-    with pytest.raises(ValueError):
-        PGAConfig(step_alpha=1.0, stall_tolerance=-1.0)
+        pga_solve(problem, [0.5], 1.0, 0)
+    blows_up = SmoothConvexProblem(lambda x: 0.0, lambda x: x * np.nan, 1.0,
+                                   box)
+    with pytest.raises(SolverError, match="iteration 1"):
+        pga_solve(blows_up, [0.5], 1.0, 3)
 
 
 # --------------------------------------------------------- iteration counts
@@ -266,6 +255,12 @@ def test_iterations_for_delta_examples():
         iterations_for_delta(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         iterations_for_delta(1.0, 0.1, 0.0)
+    # no diameter that is NaN or infinite, and no count beyond float range
+    for args in ((np.nan, 0.1, 1.0), (np.inf, 0.1, 1.0), (10.0, 0.2, 1e-310),
+                 (1.0, 1e-200, 1e-200)):
+        with pytest.raises(ValueError):
+            iterations_for_delta(*args)
+    assert iterations_for_delta(0.0, 1e-200, 1e-200) == 1
 
 
 def test_iterations_for_delta_inverts_exactly():

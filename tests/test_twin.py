@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tests.oracles import step_control_pair, step_control_reference
-from twinalloc.solver import (BoxSet, PGAConfig, SmoothConvexProblem,
+from twinalloc.solver import (BoxSet, SmoothConvexProblem,
                               iterations_for_delta, pga_solve)
 from twinalloc.twin import (DEFAULT_BOX_HIGH, DEFAULT_BOX_LOW,
                             DEFAULT_EPSILON_FACTOR, DEFAULT_TWIN_STEP_ALPHA,
@@ -277,10 +277,8 @@ def test_step_control_agrees_with_generic_solver():
         objective=lambda x: float(0.5 * np.sum((x - 7.25) ** 2)),
         gradient=lambda x: x - 7.25, lipschitz_l=1.0,
         feasible_set=BoxSet([0.0], [10.0]))
-    result = pga_solve(problem, [start],
-                       PGAConfig(step_alpha=DEFAULT_TWIN_STEP_ALPHA,
-                                 max_iterations=13, stall_tolerance=0.0))
-    assert float(result.x[0]) == twin.action
+    x = pga_solve(problem, [start], DEFAULT_TWIN_STEP_ALPHA, 13)
+    assert float(x[0]) == twin.action
 
 
 def test_update_regret_accumulates():
