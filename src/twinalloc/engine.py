@@ -3,16 +3,21 @@
 The plant-floor requirement walk and the twins' setpoint walks are drawn
 for the whole run up front, and the reports k' and their floors are
 computed and checked once for the whole walk; every twin's regret and
-budget are arrays. Per tick: every twin takes its requirement and setpoint,
-the active allocation policy runs on the tick's reports (the walk row,
-which is also their persistence forecast), every twin's controller steps
-with its grant, the regret array takes the tick's increments, then regret
-and allocation are recorded. The residual series is computed once, after the
-last tick. All randomness comes from named substreams of one master seed,
-so the walks are identical across policies and independent of execution
-order. Substream (seed, domain, i) is numpy's Generator(PCG64(SeedSequence(
-(seed, domain, i)))); the engine draws all of a walk's substreams at once
-in its own vectorised pass of the same hash and generator, bit for bit.
+budget are arrays. Per tick, the active allocation policy runs on the
+tick's reports (the walk row, which is also their persistence forecast),
+the twins take their grants, the regret array takes the tick's increments,
+then regret and allocation are recorded. A run of BANK_MIN_RESOURCES twins
+or more steps them as one array bank (twin.step_bank), whose only state is
+the actions, after checking the setpoint walk against the task box once;
+a narrower run keeps one DigitalTwin per resource, which takes its
+requirement and setpoint at the start of the tick and runs step_control
+with its grant. Both paths give the same bits. The residual series is
+computed once, after the last tick. All randomness comes from named
+substreams of one master seed, so the walks are identical across policies
+and independent of execution order. Substream (seed, domain, i) is
+numpy's Generator(PCG64(SeedSequence((seed, domain, i)))); the engine
+draws all of a walk's substreams at once in its own vectorised pass of the
+same hash and generator, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from .core import (DEFAULT_MAX_DEVIATION, AllocationConstraints,
 from .manager import (PolicyKind, allocate_equal, allocate_event,
                       allocate_online, allocate_static,
                       estimate_event_horizon, should_trigger)
-from .twin import (DEFAULT_BOX_HIGH, DEFAULT_BOX_LOW, DigitalTwin,
-                   compute_requirement, regret_budgets, step_control,
-                   update_regret)
+from .twin import (DEFAULT_BOX_HIGH, DEFAULT_BOX_LOW, START_ACTION,
+                   DigitalTwin, compute_requirement, regret_budgets,
+                   step_bank, step_control, update_regret)
 # Not called here; kept bound because the benchmark's tracer wraps it here.
 from .twin import forecast_requirements  # noqa: F401
 
@@ -39,6 +44,12 @@ from .twin import forecast_requirements  # noqa: F401
 _DOMAIN_RESOURCE_WALK = 0
 _DOMAIN_TWIN_TARGETS = 1
 _DOMAIN_SCENARIO = 2
+
+# Runs with at least this many twins step them as one array bank
+# (twin.step_bank); narrower runs loop over DigitalTwin objects. The bank's
+# fixed cost per tick is about twenty numpy calls: at 1000 ticks it lost to
+# the loop on most policies at 20 twins and won on all four from 40.
+BANK_MIN_RESOURCES = 40
 
 
 class SimulationError(RuntimeError):
@@ -273,7 +284,6 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
     n = config.n_resources
     n_ticks = config.n_ticks
 
-    twins = [DigitalTwin() for _ in range(n)]
     # a Python int sum is exact where an int64 sum could wrap
     capacity = (config.capacity_b if config.capacity_b is not None
                 else float(sum(requirement_series[0].tolist())))
@@ -284,6 +294,14 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
     k_prime, k_lower = compute_requirement(requirement_series, config.gap)
     if not np.all((1.0 <= k_lower) & (k_lower <= k_prime)):
         raise SimulationError(0, "requirement floors must lie in [1, k']")
+    bank = n >= BANK_MIN_RESOURCES
+    if bank:  # step_bank takes the setpoints unchecked
+        if not np.all((DEFAULT_BOX_LOW <= targets)
+                      & (targets <= DEFAULT_BOX_HIGH)):  # and NaN
+            raise SimulationError(0, "targets must lie in the task box")
+        actions = np.full(n, START_ACTION)
+    else:
+        twins = [DigitalTwin() for _ in range(n)]
     epsilon = regret_budgets(requirement_series[0], config.epsilon_per_step)
     regret = np.zeros(n)      # per twin, since the last reallocation event
 
@@ -295,9 +313,11 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
 
     for t in range(n_ticks):
         try:
-            for twin, req, target in zip(twins, requirement_series[t].tolist(),
-                                         targets[t].tolist()):
-                twin.assign_task(req, target)
+            if not bank:
+                for twin, req, target in zip(
+                        twins, requirement_series[t].tolist(),
+                        targets[t].tolist()):
+                    twin.assign_task(req, target)
 
             if policy is PolicyKind.EQUAL:
                 if held_alloc is None:
@@ -323,8 +343,12 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
                 if t >= 1:
                     realloc_ticks.append(t)
 
-            update_regret(regret, [step_control(twin, grant) for twin, grant
-                                   in zip(twins, alloc.tolist())])
+            if bank:
+                increments = step_bank(actions, targets[t], k_prime[t], alloc)
+            else:
+                increments = [step_control(twin, grant) for twin, grant
+                              in zip(twins, alloc.tolist())]
+            update_regret(regret, increments)
 
             regret_series[t] = regret
             allocation_series[t] = alloc

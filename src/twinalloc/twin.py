@@ -7,8 +7,10 @@ returns the tick's regret increment: its performance gap minus that of the
 counterfactual run that got everything it asked for. Every twin descends
 on f(x) = kappa/2 (x - c)^2 over one box with one step, fixed module
 constants, so descent contracts by one factor q per step and both runs are
-evaluated in closed form, in O(1) whatever the grant. Requirements, floors,
-regret and regret budgets are arrays over all twins, held by the caller.
+evaluated in closed form, in O(1) whatever the grant. DigitalTwin and
+step_control run one twin; step_bank runs a whole population as arrays of
+actions, bit for bit the same. Requirements, floors, regret and regret
+budgets are arrays over all twins, held by the caller.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ _HALF_KAPPA = 0.5 * _CURVATURE
 # Lifts a grant a rounding error below an integer up to it before floor:
 # allocations that are integers in exact arithmetic come out a few ulps off.
 _FLOOR_GUARD = 1e-9
-# Task box, shared by DigitalTwin and the engine's setpoint walk.
+# Task box, shared by the twins and the engine's setpoint walk.
 DEFAULT_BOX_LOW = 0.0
 DEFAULT_BOX_HIGH = 10.0
+# Every twin's action before its first tick: the middle of the box.
+START_ACTION = 0.5 * (DEFAULT_BOX_LOW + DEFAULT_BOX_HIGH)
 
 
 class DigitalTwin:
@@ -50,7 +54,7 @@ class DigitalTwin:
     """
 
     def __init__(self):
-        self._action = 0.5 * (DEFAULT_BOX_LOW + DEFAULT_BOX_HIGH)
+        self._action = START_ACTION
         self._target: float | None = None
         self._k_prime: int | None = None
 
@@ -124,12 +128,39 @@ def step_control(twin: DigitalTwin, granted: float) -> float:
     x_granted = c + _Q ** g * d0
     x_requested = c + _Q ** twin._k_prime * d0
     # conditional expressions, not min/max calls: this runs every twin-tick
+    # of a narrow run (step_bank steps the wide ones)
     x_granted = lo if x_granted < lo else hi if x_granted > hi else x_granted
     x_requested = (lo if x_requested < lo else hi if x_requested > hi
                    else x_requested)
     twin._action = x_granted
     return (_HALF_KAPPA * (x_granted - c) ** 2
             - _HALF_KAPPA * (x_requested - c) ** 2)
+
+
+def step_bank(actions: np.ndarray, targets, k_prime, granted) -> np.ndarray:
+    """step_control for a whole population of twins at once: take every
+    twin's granted iterations, move the actions (the population's only
+    state) in place and return the tick's regret increments.
+
+    targets and k_prime are the tick's setpoints and requirements as
+    arrays; the caller checks once per run that the setpoints lie in the
+    box and every k' >= 1. The grants are checked here, finite and
+    nonnegative, in one array test. Each element takes step_control's
+    operations in its order, with np.float_power for the powers and the
+    squares, so actions and increments equal step_control's bit for bit.
+    """
+    granted = np.asarray(granted, dtype=float)
+    if not 0.0 <= granted.min() <= granted.max() < np.inf:  # and NaN
+        raise ValueError("granted must be finite and nonnegative")
+    lo, hi = DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH
+    g = np.maximum(np.floor(granted + _FLOOR_GUARD), 1.0)
+    d0 = actions - targets
+    x_requested = np.minimum(np.maximum(
+        targets + np.float_power(_Q, k_prime) * d0, lo), hi)
+    np.minimum(np.maximum(targets + np.float_power(_Q, g) * d0, lo), hi,
+               out=actions)
+    return (_HALF_KAPPA * np.float_power(actions - targets, 2)
+            - _HALF_KAPPA * np.float_power(x_requested - targets, 2))
 
 
 def update_regret(regret: np.ndarray, increments) -> np.ndarray:

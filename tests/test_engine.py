@@ -437,10 +437,13 @@ LOOP_REGRET_TOL = 1e-11
     ScenarioConfig(n_resources=300, n_ticks=60, stationary_prefix=3),
 ], ids=["default", "eps0.05-n20-T300", "n300-T60-prefix3"])
 def test_engine_matches_loop_descent(monkeypatch, config):
-    # the whole tick loop with the closed-form descent against the same loop
-    # with the reference descent: rounding in regret must not move a trigger
+    # the whole tick loop with the closed-form descent (the bank from
+    # BANK_MIN_RESOURCES twins on) against the per-twin loop with the
+    # reference descent: rounding in regret must not move a trigger
     loop = {}
     with monkeypatch.context() as patch:
+        patch.setattr("twinalloc.engine.BANK_MIN_RESOURCES",
+                      config.n_resources + 1)
         patch.setattr("twinalloc.engine.step_control", loop_step_control)
         for seed in range(10):
             loop[seed] = compare_policies(config, seed)
@@ -455,6 +458,47 @@ def test_engine_matches_loop_descent(monkeypatch, config):
             np.testing.assert_allclose(got.regret_series, want.regret_series,
                                        rtol=0, atol=LOOP_REGRET_TOL,
                                        err_msg=f"seed {seed} {kind.value}")
+
+
+def _forbidden(*args):
+    raise AssertionError("the other twin path ran")
+
+
+def _run_path(monkeypatch, bank, config, seed):
+    """compare_policies with the twins forced onto one path: the array
+    bank, or the per-twin loop of DigitalTwin objects."""
+    n = config.n_resources
+    with monkeypatch.context() as patch:
+        patch.setattr("twinalloc.engine.BANK_MIN_RESOURCES",
+                      n if bank else n + 1)
+        patch.setattr("twinalloc.engine.step_control" if bank
+                      else "twinalloc.engine.step_bank", _forbidden)
+        return compare_policies(config, seed)
+
+
+@pytest.mark.parametrize("n", [20, engine.BANK_MIN_RESOURCES - 1,
+                               engine.BANK_MIN_RESOURCES, 300])
+@pytest.mark.parametrize("scenario", [
+    {},
+    {"epsilon_per_step": 0.05},
+    {"epsilon_per_step": 1e3},
+], ids=["default", "eps0.05", "period-cap"])
+def test_bank_matches_per_twin_path(monkeypatch, n, scenario):
+    # both twin paths, forced at every width, give the same bits: every
+    # regret, allocation and residual series and every reallocation tick
+    config = ScenarioConfig(n_resources=n, n_ticks=60, **scenario)
+    for seed in (0, 1, 2, 3, 4, 2 ** 64 - 1):
+        bank = _run_path(monkeypatch, True, config, seed)
+        loop = _run_path(monkeypatch, False, config, seed)
+        for kind, got in bank.items():
+            want = loop[kind]
+            assert got.reallocation_ticks == want.reallocation_ticks
+            for field in ("regret_series", "allocation_series",
+                          "residual_inf_series"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(want, field)), (seed, kind)
+        if scenario:   # each trigger rule fires
+            assert len(bank[PolicyKind.EVENT_TRIGGERED].reallocation_ticks) >= 2
 
 
 @pytest.mark.parametrize("config", [
@@ -541,6 +585,72 @@ def test_failures_carry_the_tick(monkeypatch):
     assert err.value.tick == 0
     assert "tick 0" in str(err.value)
     assert "boom" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0])
+@pytest.mark.parametrize("bank", [False, True], ids=["per-twin", "bank"])
+def test_bad_grant_stops_the_run_at_its_tick(monkeypatch, tmp_path, capsys,
+                                             bank, bad):
+    # an online grant that is NaN or negative at tick 4 stops the run there,
+    # on either twin path, and `compare` exits 1 with no outputs
+    cfg = small_config(n_ticks=8, stationary_prefix=0)
+    monkeypatch.setattr("twinalloc.engine.BANK_MIN_RESOURCES",
+                        cfg.n_resources if bank else cfg.n_resources + 1)
+    solve, calls = engine.allocate_online, []
+
+    def spoiled_at_tick_4(*args):
+        alloc = solve(*args)
+        calls.append(alloc)
+        if len(calls) == 5:
+            alloc[2] = bad
+        return alloc
+
+    monkeypatch.setattr("twinalloc.engine.allocate_online", spoiled_at_tick_4)
+    with pytest.raises(SimulationError) as err:
+        run_scenario(cfg, PolicyKind.ONLINE_DYNAMIC, 0)
+    assert err.value.tick == 4
+    assert "granted must be" in str(err.value)
+
+    calls.clear()
+    scenario = tmp_path / "scenario.json"
+    save_scenario(cfg, scenario)
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", str(scenario),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "error: tick 4: granted must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [DEFAULT_BOX_HIGH + 0.5, float("nan")])
+def test_target_outside_the_box_is_rejected(monkeypatch, bad):
+    # the bank checks the whole setpoint walk before tick 0; the per-twin
+    # loop's assign_task rejects the setpoint at its own tick
+    walk = engine.target_walk
+
+    def spoiled(config, seed):
+        targets = walk(config, seed)
+        targets[7, 1] = bad
+        return targets
+
+    def no_solve(*args):
+        raise AssertionError("a tick ran")
+
+    cfg = small_config(n_ticks=12, stationary_prefix=0)
+    monkeypatch.setattr("twinalloc.engine.target_walk", spoiled)
+    monkeypatch.setattr("twinalloc.engine.BANK_MIN_RESOURCES",
+                        cfg.n_resources + 1)
+    with pytest.raises(SimulationError) as err:
+        run_scenario(cfg, PolicyKind.STATIC, 0)
+    assert err.value.tick == 7
+    assert "task box" in str(err.value)
+
+    monkeypatch.setattr("twinalloc.engine.BANK_MIN_RESOURCES",
+                        cfg.n_resources)
+    monkeypatch.setattr("twinalloc.engine.allocate_static", no_solve)
+    with pytest.raises(SimulationError) as err:
+        run_scenario(cfg, PolicyKind.STATIC, 0)
+    assert err.value.tick == 0
+    assert "task box" in str(err.value)
 
 
 def test_run_scenario_accepts_policy_tokens():

@@ -13,7 +13,8 @@ from twinalloc.twin import (DEFAULT_BOX_HIGH, DEFAULT_BOX_LOW,
                             DEFAULT_EPSILON_FACTOR, DEFAULT_TWIN_STEP_ALPHA,
                             DigitalTwin, check_satisfaction,
                             compute_requirement, forecast_requirements,
-                            regret_budgets, step_control, update_regret)
+                            regret_budgets, step_bank, step_control,
+                            update_regret)
 
 # closed form against the clamped loop: 1.4e-14 at most over 72k random cases
 STEP_TOL = 1e-12
@@ -135,10 +136,15 @@ def test_grant_is_floored_and_validated():
         assert sample == step_control(floored, whole)
         assert sample != step_control(ceiled, whole + 1)
         assert twin.action == floored.action
-    with pytest.raises(ValueError):
-        step_control(twin, float("inf"))
-    with pytest.raises(ValueError):
-        step_control(twin, -1.0)
+    for bad in (float("inf"), -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            step_control(twin, bad)
+        # the bank checks a tick's grants in one array test, actions intact
+        actions = np.full(3, 5.0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            step_bank(actions, np.full(3, 2.5), np.full(3, 6.0),
+                      np.array([1.0, bad, 2.0]))
+        assert actions.tolist() == [5.0, 5.0, 5.0]
 
 
 def _assert_matches_reference(twin, out, want):
@@ -194,9 +200,10 @@ def test_step_control_matches_single_loop_reference():
 def test_increment_equals_pair_form_bit_for_bit():
     # step_control returns achieved - baseline of the pair-returning closed
     # form it replaced, with the same action, exactly; the golden fixtures
-    # skip the regret digest, so this is what pins regret's bits
+    # skip the regret digest, so this is what pins regret's bits. step_bank,
+    # run on every case as one population, matches step_control exactly
     rng = np.random.default_rng(1010)
-    cases = 0
+    cases = []
     points = [LO, HI, 0.5 * (LO + HI)] + rng.uniform(LO, HI, 13).tolist()
     k_primes = (1, 2, 3, 9, 45, 400, int(rng.integers(1, 400)))
     for x0, c, k_prime in itertools.product(points, points, k_primes):
@@ -210,8 +217,12 @@ def test_increment_equals_pair_form_bit_for_bit():
             assert type(out) is float
             assert out == achieved - baseline
             assert twin.action == action
-            cases += 1
-    assert cases == 16 * 16 * 7 * 6
+            cases.append((x0, c, k_prime, grant, out, action))
+    assert len(cases) == 16 * 16 * 7 * 6
+    x0, c, k_prime, grant, out, action = np.array(cases).T
+    increments = step_bank(x0, c, k_prime, grant)
+    assert np.array_equal(increments, out)
+    assert np.array_equal(x0, action)   # moved in place
 
 
 def test_reference_descent_never_needs_its_clamp():
