@@ -8,16 +8,19 @@ tick's reports (the walk row, which is also their persistence forecast),
 the twins take their grants, the regret array takes the tick's increments,
 then regret and allocation are recorded. A run of BANK_MIN_RESOURCES twins
 or more steps them as one array bank (twin.step_bank), whose only state is
-the actions, after checking the setpoint walk against the task box once;
-a narrower run keeps one DigitalTwin per resource, which takes its
-requirement and setpoint at the start of the tick and runs step_control
-with its grant. Both paths give the same bits. The residual series is
-computed once, after the last tick. All randomness comes from named
-substreams of one master seed, so the walks are identical across policies
-and independent of execution order. Substream (seed, domain, i) is
-numpy's Generator(PCG64(SeedSequence((seed, domain, i)))); the engine
+the actions, after checking the setpoint walk against the task box once.
+Equal, static and online never read regret, so a wide run of one of them
+fills its whole grant schedule first, each row checked before the next is
+solved, then steps the bank over the schedule in row blocks; event steps
+it one row per tick. A narrower run keeps one DigitalTwin per resource,
+which takes its requirement and setpoint at the start of the tick and runs
+step_control with its grant. All paths give the same bits. The residual
+series is computed once, after the last tick. All randomness comes from
+named substreams of one master seed, so the walks are identical across
+policies and independent of execution order. Substream (seed, domain, i)
+is numpy's Generator(PCG64(SeedSequence((seed, domain, i)))); the engine
 draws all of a walk's substreams at once in its own vectorised pass of the
-same hash and generator, bit for bit.
+same hash and generator, bit for bit, at one 128-bit multiply per output.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .manager import (PolicyKind, allocate_equal, allocate_event,
                       allocate_online, allocate_static,
                       estimate_event_horizon, should_trigger)
 from .twin import (DEFAULT_BOX_HIGH, DEFAULT_BOX_LOW, START_ACTION,
-                   DigitalTwin, compute_requirement, regret_budgets,
-                   step_bank, step_control, update_regret)
+                   DigitalTwin, check_grants, compute_requirement,
+                   regret_budgets, step_bank, step_control, update_regret)
 # Not called here; kept bound because the benchmark's tracer wraps it here.
 from .twin import forecast_requirements  # noqa: F401
 
@@ -66,6 +69,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # numpy's PCG64: a 128-bit LCG with the XSL-RR 128/64 output
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_LESS_ONE = (np.uint64(_PCG_MULT - 1 >> 64),
+                      np.uint64(_PCG_MULT - 1 & 2 ** 64 - 1))
 _LOW32 = np.uint64(0xFFFFFFFF)
 _BLOCK = 4096  # elements per pass: larger uint64 temporaries leave the cache
 
@@ -130,26 +135,30 @@ def _pcg64(words: np.ndarray) -> np.ndarray:
 
 def _pcg64_outputs(streams: np.ndarray, count: int):
     """(streams, count) uint64: every stream's next count outputs, and the
-    streams advanced past them. Step j from state s lands on A_j s + B_j inc,
-    A_j = M**j and B_j = 1 + ... + M**(j-1) mod 2**128, in blocks of _BLOCK."""
-    cols, mult, add, table = max(1, min(count, 256)), _PCG_MULT, 1, []
-    for _ in range(cols):  # A_j, B_j for j = 1..cols
-        table += mult >> 64, mult & 2 ** 64 - 1, add >> 64, add & 2 ** 64 - 1
-        mult, add = mult * _PCG_MULT & 2 ** 128 - 1, add + mult & 2 ** 128 - 1
-    a_hi, a_lo, b_hi, b_lo = np.array(table, dtype=np.uint64).reshape(-1, 4).T
+    streams advanced past them. Step j from state s lands on s + B_j w, with
+    w = (M - 1) s + inc and B_j = 1 + M + ... + M**(j-1) mod 2**128: one
+    multiply per output, exact as M**j - 1 = (M - 1) B_j. w is taken afresh
+    from the states at each column block; rows go in blocks of _BLOCK."""
+    cols, add, table = max(1, min(count, 256)), 1, []
+    for _ in range(cols):  # B_j for j = 1..cols
+        table += add >> 64, add & 2 ** 64 - 1
+        add = add * _PCG_MULT + 1 & 2 ** 128 - 1
+    b_hi, b_lo = np.array(table, dtype=np.uint64).reshape(-1, 2).T
     n = streams.shape[1]
     out, streams = np.empty((n, count), dtype=np.uint64), streams.copy()
+    hi, lo, inc_hi, inc_lo = streams[:, :, None]  # views: states move in place
     step = max(1, _BLOCK // cols)  # rows per block
-    for r in range(0, n, step):
-        hi, lo, inc_hi, inc_lo = streams[:, r:r + step, None]
-        for c in range(0, count, cols):
-            m = min(cols, count - c)
-            hi, lo = _add128(*_mul128(a_hi[:m], a_lo[:m], hi, lo),
-                             *_mul128(b_hi[:m], b_lo[:m], inc_hi, inc_lo))
-            x, rot = hi ^ lo, hi >> 58
-            out[r:r + step, c:c + m] = x >> rot | x << (64 - rot & 63)
-            hi, lo = hi[:, -1:], lo[:, -1:]
-        streams[:2, r:r + step] = hi[:, 0], lo[:, 0]
+    for c in range(0, count, cols):
+        m = min(cols, count - c)
+        w_hi, w_lo = _add128(*_mul128(*_PCG_MULT_LESS_ONE, hi, lo),
+                             inc_hi, inc_lo)
+        for r in range(0, n, step):
+            rows = slice(r, r + step)
+            s_hi, s_lo = _add128(hi[rows], lo[rows], *_mul128(
+                b_hi[:m], b_lo[:m], w_hi[rows], w_lo[rows]))
+            x, rot = s_hi ^ s_lo, s_hi >> 58
+            out[rows, c:c + m] = x >> rot | x << (64 - rot & 63)
+            hi[rows], lo[rows] = s_hi[:, -1:], s_lo[:, -1:]
     return out, streams
 
 
@@ -165,9 +174,9 @@ def _integers(streams: np.ndarray, lo: int, hi: int, size: int) -> np.ndarray:
     values, kept, need = [], [], size
     while need > 0:
         raw, streams = _pcg64_outputs(streams, -(-need * bits // 64))
-        if bits == 32:
-            words = np.stack([raw & _LOW32, raw >> 32], axis=2)
-            product = words.reshape(len(raw), -1) * np.uint64(span)
+        if bits == 32:  # each word as its little-endian uint32 pair
+            words = raw.astype("<u8", copy=False).view("<u4")
+            product = words * np.uint64(span)
             value, left = product >> 32, product & _LOW32
         else:
             value, left = _mul64(raw, np.uint64(span))
@@ -238,11 +247,13 @@ def target_walk(config: ScenarioConfig, seed: int) -> np.ndarray:
     """(n_ticks, n) setpoints, uniform in the default task box.
 
     Column i is one block draw on twin i's target substream, which yields
-    the same values as one scalar draw per tick.
+    the same values as one scalar draw per tick. The rows are contiguous,
+    as the twins read them a tick at a time.
     """
     n, n_ticks = config.n_resources, config.n_ticks
     streams = _pcg64(_seed_words(seed, [_DOMAIN_TWIN_TARGETS] * n, range(n)))
-    return _uniform(streams, DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH, n_ticks).T
+    return np.ascontiguousarray(
+        _uniform(streams, DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH, n_ticks).T)
 
 
 @dataclass(frozen=True)
@@ -311,49 +322,78 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
 
     held_alloc = None         # current fixed allocation (equal/static/event)
 
-    for t in range(n_ticks):
+    if bank and policy is not PolicyKind.EVENT_TRIGGERED:
+        # open loop: no grant reads regret, so the whole schedule comes
+        # first, each row checked before the next is solved; then the bank
+        # steps over it in row blocks, and regret is the running sum
+        t = 0
         try:
-            if not bank:
-                for twin, req, target in zip(
-                        twins, requirement_series[t].tolist(),
-                        targets[t].tolist()):
-                    twin.assign_task(req, target)
-
-            if policy is PolicyKind.EQUAL:
-                if held_alloc is None:
-                    held_alloc = allocate_equal(n, capacity)
-                alloc = held_alloc
-            elif policy is PolicyKind.STATIC:
-                if held_alloc is None:
-                    held_alloc = allocate_static(k_prime[t], capacity)
-                alloc = held_alloc
-            elif policy is PolicyKind.EVENT_TRIGGERED:
-                if held_alloc is None:
-                    held_alloc = allocate_static(k_prime[t], capacity)
-                elif should_trigger(regret, epsilon, t - (
-                        realloc_ticks[-1] if realloc_ticks else 0)):
-                    horizon = estimate_event_horizon(realloc_ticks)
-                    held_alloc = allocate_event(k_prime[t], k_lower[t],
-                                                constraints, horizon)
-                    realloc_ticks.append(t)
-                    regret[:] = 0.0
-                alloc = held_alloc
+            if policy is PolicyKind.ONLINE_DYNAMIC:
+                for t in range(n_ticks):
+                    allocation_series[t] = check_grants(allocate_online(
+                        k_prime[t], k_lower[t], constraints))
+                realloc_ticks.extend(range(1, n_ticks))
             else:
-                alloc = allocate_online(k_prime[t], k_lower[t], constraints)
-                if t >= 1:
-                    realloc_ticks.append(t)
-
-            if bank:
-                increments = step_bank(actions, targets[t], k_prime[t], alloc)
-            else:
-                increments = [step_control(twin, grant) for twin, grant
-                              in zip(twins, alloc.tolist())]
-            update_regret(regret, increments)
-
-            regret_series[t] = regret
-            allocation_series[t] = alloc
+                held_alloc = check_grants(
+                    allocate_equal(n, capacity) if policy is PolicyKind.EQUAL
+                    else allocate_static(k_prime[0], capacity))
+                allocation_series[:] = held_alloc
         except Exception as exc:
             raise SimulationError(t, str(exc)) from exc
+        rows = max(1, _BLOCK // n)
+        for t in range(0, n_ticks, rows):
+            block = slice(t, t + rows)
+            increments = step_bank(
+                actions, targets[block], k_prime[block],
+                allocation_series[block] if held_alloc is None else held_alloc)
+            for row, out in zip(increments, regret_series[block]):
+                regret = np.add(regret, row, out=out)
+    else:
+        for t in range(n_ticks):
+            try:
+                if not bank:
+                    for twin, req, target in zip(
+                            twins, requirement_series[t].tolist(),
+                            targets[t].tolist()):
+                        twin.assign_task(req, target)
+
+                if policy is PolicyKind.EQUAL:
+                    if held_alloc is None:
+                        held_alloc = allocate_equal(n, capacity)
+                    alloc = held_alloc
+                elif policy is PolicyKind.STATIC:
+                    if held_alloc is None:
+                        held_alloc = allocate_static(k_prime[t], capacity)
+                    alloc = held_alloc
+                elif policy is PolicyKind.EVENT_TRIGGERED:
+                    if held_alloc is None:
+                        held_alloc = allocate_static(k_prime[t], capacity)
+                    elif should_trigger(regret, epsilon, t - (
+                            realloc_ticks[-1] if realloc_ticks else 0)):
+                        horizon = estimate_event_horizon(realloc_ticks)
+                        held_alloc = allocate_event(k_prime[t], k_lower[t],
+                                                    constraints, horizon)
+                        realloc_ticks.append(t)
+                        regret[:] = 0.0
+                    alloc = held_alloc
+                else:
+                    alloc = allocate_online(k_prime[t], k_lower[t],
+                                            constraints)
+                    if t >= 1:
+                        realloc_ticks.append(t)
+
+                if bank:
+                    increments = step_bank(actions, targets[t:t + 1],
+                                           k_prime[t:t + 1], alloc[None])[0]
+                else:
+                    increments = [step_control(twin, grant) for twin, grant
+                                  in zip(twins, alloc.tolist())]
+                update_regret(regret, increments)
+
+                regret_series[t] = regret
+                allocation_series[t] = alloc
+            except Exception as exc:
+                raise SimulationError(t, str(exc)) from exc
 
     residual_series = compute_residual(k_prime, allocation_series)[1]
     after = residual_series[config.stationary_prefix:]

@@ -7,14 +7,16 @@ returns the tick's regret increment: its performance gap minus that of the
 counterfactual run that got everything it asked for. Every twin descends
 on f(x) = kappa/2 (x - c)^2 over one box with one step, fixed module
 constants, so descent contracts by one factor q per step and both runs are
-evaluated in closed form, in O(1) whatever the grant. DigitalTwin and
-step_control run one twin; step_bank runs a whole population as arrays of
-actions, bit for bit the same. Requirements, floors, regret and regret
-budgets are arrays over all twins, held by the caller.
+evaluated in closed form, in O(1) whatever the grant, with the powers of q
+read from one table. DigitalTwin and step_control run one twin; step_bank
+runs a whole population over a block of ticks as arrays, bit for bit the
+same, stepping only the actions tick by tick. Requirements, floors, regret
+and regret budgets are arrays over all twins, held by the caller.
 """
 
 from __future__ import annotations
 
+from itertools import count, takewhile
 from math import floor, isfinite
 from operator import index
 
@@ -33,6 +35,12 @@ _CURVATURE = 1.0
 # per-step contraction q = 1 - alpha * kappa and the gap's factor kappa / 2
 _Q = 1.0 - DEFAULT_TWIN_STEP_ALPHA * _CURVATURE
 _HALF_KAPPA = 0.5 * _CURVATURE
+# q ** k for k = 0, 1, ... up to its first 0.0 (k = 3340), the one source of
+# q^g and q^k' on both twin paths: the last entry stands for every k past
+# the table, where q ** k is 0.0 too. The array is the bank's copy.
+_Q_POWERS = (*takewhile(bool, (_Q ** k for k in count())), 0.0)
+_LAST_POWER = len(_Q_POWERS) - 1
+_Q_POWER_ARRAY = np.array(_Q_POWERS)
 # Lifts a grant a rounding error below an integer up to it before floor:
 # allocations that are integers in exact arithmetic come out a few ulps off.
 _FLOOR_GUARD = 1e-9
@@ -123,12 +131,14 @@ def step_control(twin: DigitalTwin, granted: float) -> float:
     if twin._k_prime is None:
         raise RuntimeError("no task assigned yet")
     g = floor(granted + _FLOOR_GUARD) or 1   # floor is >= 0: lifts 0 to 1
+    k_prime = twin._k_prime
     c, lo, hi = twin._target, DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH
     d0 = twin._action - c
-    x_granted = c + _Q ** g * d0
-    x_requested = c + _Q ** twin._k_prime * d0
     # conditional expressions, not min/max calls: this runs every twin-tick
     # of a narrow run (step_bank steps the wide ones)
+    x_granted = c + _Q_POWERS[g if g < _LAST_POWER else _LAST_POWER] * d0
+    x_requested = c + _Q_POWERS[k_prime if k_prime < _LAST_POWER
+                                else _LAST_POWER] * d0
     x_granted = lo if x_granted < lo else hi if x_granted > hi else x_granted
     x_requested = (lo if x_requested < lo else hi if x_requested > hi
                    else x_requested)
@@ -137,30 +147,62 @@ def step_control(twin: DigitalTwin, granted: float) -> float:
             - _HALF_KAPPA * (x_requested - c) ** 2)
 
 
-def step_bank(actions: np.ndarray, targets, k_prime, granted) -> np.ndarray:
-    """step_control for a whole population of twins at once: take every
-    twin's granted iterations, move the actions (the population's only
-    state) in place and return the tick's regret increments.
-
-    targets and k_prime are the tick's setpoints and requirements as
-    arrays; the caller checks once per run that the setpoints lie in the
-    box and every k' >= 1. The grants are checked here, finite and
-    nonnegative, in one array test. Each element takes step_control's
-    operations in its order, with np.float_power for the powers and the
-    squares, so actions and increments equal step_control's bit for bit.
-    """
+def check_grants(granted) -> np.ndarray:
+    """The grants as a float array, checked finite and nonnegative in one
+    array test (NaN fails it)."""
     granted = np.asarray(granted, dtype=float)
-    if not 0.0 <= granted.min() <= granted.max() < np.inf:  # and NaN
+    if not 0.0 <= granted.min() <= granted.max() < np.inf:
         raise ValueError("granted must be finite and nonnegative")
+    return granted
+
+
+def _q_power(k: np.ndarray) -> np.ndarray:
+    """q ** k for float counts k >= 0 that are integers, from the table."""
+    return _Q_POWER_ARRAY[np.minimum(k, _LAST_POWER).astype(np.intp)]
+
+
+def step_bank(actions: np.ndarray, targets, k_prime, granted) -> np.ndarray:
+    """step_control for a whole population of twins over a block of ticks:
+    row t of targets, k_prime and granted is tick t, and granted may be one
+    row for every tick. Moves the actions (the population's only state) in
+    place past the last row and returns the (ticks, n) regret increments.
+
+    The caller checks once per run that the setpoints lie in the box and
+    every k' >= 1; the grants are checked here (check_grants). Only the
+    actions step tick by tick, x = clip(c + q^g (x - c)); the requested
+    runs and the increments are then whole-block array operations. Each
+    element takes step_control's operations in its order, with the same
+    powers of q and np.float_power for the squares, so actions and
+    increments equal step_control's bit for bit.
+    """
     lo, hi = DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH
-    g = np.maximum(np.floor(granted + _FLOOR_GUARD), 1.0)
-    d0 = actions - targets
-    x_requested = np.minimum(np.maximum(
-        targets + np.float_power(_Q, k_prime) * d0, lo), hi)
-    np.minimum(np.maximum(targets + np.float_power(_Q, g) * d0, lo), hi,
-               out=actions)
-    return (_HALF_KAPPA * np.float_power(actions - targets, 2)
-            - _HALF_KAPPA * np.float_power(x_requested - targets, 2))
+    granted = check_grants(granted)
+    q_granted = _q_power(np.maximum(np.floor(granted + _FLOOR_GUARD), 1.0))
+    if q_granted.shape != targets.shape:   # one row held for every tick
+        q_granted = np.broadcast_to(q_granted, targets.shape)
+    # each tick's x - c from its start, then the granted and requested ends
+    ends = np.empty((3, *targets.shape))
+    d0, runs = ends[0], ends[1:]
+    x = actions
+    for c, q, d, row in zip(targets, q_granted, d0, runs[0]):
+        np.subtract(x, c, out=d)
+        np.multiply(q, d, out=row)
+        row += c
+        np.maximum(row, lo, out=row)
+        x = np.minimum(row, hi, out=row)
+    actions[:] = x
+    q_requested = _q_power(k_prime)
+    requested = np.multiply(q_requested, d0, out=runs[1])
+    requested += targets
+    np.maximum(requested, lo, out=requested)
+    np.minimum(requested, hi, out=requested)
+    runs -= targets
+    # where q^g = q^k' both runs end on the same bits and the increment is
+    # 0.0, with or without its squares: only the others are squared
+    squares = np.zeros(runs.shape)
+    np.float_power(runs, 2, out=squares, where=q_granted != q_requested)
+    squares *= _HALF_KAPPA
+    return squares[0] - squares[1]
 
 
 def update_regret(regret: np.ndarray, increments) -> np.ndarray:

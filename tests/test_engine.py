@@ -16,6 +16,7 @@ from twinalloc.engine import (SimulationError, compare_policies,
                               target_walk)
 from twinalloc.manager import (DEFAULT_MAX_REALLOCATION_PERIOD, PolicyKind,
                                estimate_event_horizon)
+from twinalloc.solver import SolverError
 from twinalloc.twin import DEFAULT_BOX_HIGH, DEFAULT_BOX_LOW
 
 
@@ -169,23 +170,28 @@ def test_target_walk_stays_in_the_task_box():
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1,
                                   0x9E3779B97F4A7C15])   # last: arbitrary
 def test_streams_match_per_index_seed_sequence(seed, domain, count):
+    # 600 outputs take three column blocks (256, 256, 88), each stepping
+    # from the state the one before it left
     words = engine._seed_words(seed, [domain] * count, range(count))
     streams = engine._pcg64(words)
-    raw, advanced = engine._pcg64_outputs(streams, 5)
     assert words.shape == streams.shape == (4, count)
-    assert raw.shape == (count, 5)
-    for i in range(count):
-        seq = np.random.SeedSequence((seed, domain, i))
-        np.testing.assert_array_equal(words[:, i],
-                                      seq.generate_state(4, np.uint64))
-        ref = np.random.PCG64(seq)
-        state = ref.state["state"]
-        assert int(streams[0, i]) << 64 | int(streams[1, i]) == state["state"]
-        assert int(streams[2, i]) << 64 | int(streams[3, i]) == state["inc"]
-        np.testing.assert_array_equal(raw[i], ref.random_raw(5))
-        state = ref.state["state"]   # advanced past the five outputs
-        assert int(advanced[0, i]) << 64 | int(advanced[1, i]) == state["state"]
-        np.testing.assert_array_equal(advanced[2:, i], streams[2:, i])
+    for outputs in (5, 600):
+        raw, advanced = engine._pcg64_outputs(streams, outputs)
+        assert raw.shape == (count, outputs)
+        for i in range(count):
+            seq = np.random.SeedSequence((seed, domain, i))
+            np.testing.assert_array_equal(words[:, i],
+                                          seq.generate_state(4, np.uint64))
+            ref = np.random.PCG64(seq)
+            state = ref.state["state"]
+            assert (int(streams[0, i]) << 64 | int(streams[1, i])
+                    == state["state"])
+            assert int(streams[2, i]) << 64 | int(streams[3, i]) == state["inc"]
+            np.testing.assert_array_equal(raw[i], ref.random_raw(outputs))
+            state = ref.state["state"]   # advanced past the outputs
+            assert (int(advanced[0, i]) << 64 | int(advanced[1, i])
+                    == state["state"])
+            np.testing.assert_array_equal(advanced[2:, i], streams[2:, i])
 
 
 def test_streams_refuse_indices_beyond_one_word():
@@ -619,6 +625,44 @@ def test_bad_grant_stops_the_run_at_its_tick(monkeypatch, tmp_path, capsys,
                  "--out", str(out)]) == 1
     assert not out.exists()
     assert "error: tick 4: granted must be" in capsys.readouterr().err
+
+
+def test_wide_online_stops_at_the_first_bad_tick(monkeypatch, tmp_path,
+                                                 capsys):
+    # the wide online run solves its whole schedule before the twins step,
+    # but checks each row before it solves the next: a NaN grant at tick 4
+    # stops the run there, and the solve of tick 6, which would raise a
+    # SolverError (exit 3), is never called
+    cfg = small_config(n_resources=engine.BANK_MIN_RESOURCES, n_ticks=10,
+                       stationary_prefix=0)
+    solve, ticks = engine.allocate_online, []
+
+    def spoiled(*args):
+        ticks.append(len(ticks))
+        if ticks[-1] == 6:
+            raise SolverError("injected at tick 6")
+        alloc = solve(*args)
+        if ticks[-1] == 4:
+            alloc[2] = float("nan")
+        return alloc
+
+    monkeypatch.setattr("twinalloc.engine.allocate_online", spoiled)
+    monkeypatch.setattr("twinalloc.engine.step_control", _forbidden)
+    with pytest.raises(SimulationError) as err:
+        run_scenario(cfg, PolicyKind.ONLINE_DYNAMIC, 0)
+    assert err.value.tick == 4
+    assert "granted must be" in str(err.value)
+    assert ticks == [0, 1, 2, 3, 4]
+
+    ticks.clear()
+    scenario = tmp_path / "scenario.json"
+    save_scenario(cfg, scenario)
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", str(scenario),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "error: tick 4: granted must be" in capsys.readouterr().err
+    assert ticks == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("bad", [DEFAULT_BOX_HIGH + 0.5, float("nan")])

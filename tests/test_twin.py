@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tests.oracles import step_control_pair, step_control_reference
+from twinalloc import twin as twin_module
 from twinalloc.solver import (BoxSet, SmoothConvexProblem,
                               iterations_for_delta, pga_solve)
 from twinalloc.twin import (DEFAULT_BOX_HIGH, DEFAULT_BOX_LOW,
@@ -142,8 +143,8 @@ def test_grant_is_floored_and_validated():
         # the bank checks a tick's grants in one array test, actions intact
         actions = np.full(3, 5.0)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            step_bank(actions, np.full(3, 2.5), np.full(3, 6.0),
-                      np.array([1.0, bad, 2.0]))
+            step_bank(actions, np.full((2, 3), 2.5), np.full((2, 3), 6.0),
+                      np.array([[1.0, 1.0, 1.0], [1.0, bad, 2.0]]))
         assert actions.tolist() == [5.0, 5.0, 5.0]
 
 
@@ -220,9 +221,83 @@ def test_increment_equals_pair_form_bit_for_bit():
             cases.append((x0, c, k_prime, grant, out, action))
     assert len(cases) == 16 * 16 * 7 * 6
     x0, c, k_prime, grant, out, action = np.array(cases).T
-    increments = step_bank(x0, c, k_prime, grant)
-    assert np.array_equal(increments, out)
+    increments = step_bank(x0, c[None], k_prime[None], grant[None])
+    assert increments.shape == (1, len(cases))
+    assert np.array_equal(increments[0], out)
     assert np.array_equal(x0, action)   # moved in place
+
+
+@pytest.mark.parametrize("one_row_grant", [False, True],
+                         ids=["grant-per-tick", "held-grant"])
+def test_block_equals_one_row_calls_bit_for_bit(one_row_grant):
+    # step_bank over a (T, n) block, whose only sequential part is the
+    # actions, against T one-row calls chained tick by tick, and against
+    # step_control twin by twin: actions, increments and cumulative regret
+    # all equal, with grants 0, 0.5, k' - 1, k', k' + 1, 1e15 and 1e300
+    # (past the power table's end) and k' up to 400
+    rng = np.random.default_rng(1919)
+    T, n = 40, 96
+    k_prime = rng.integers(1, 401, (T, n)).astype(float)
+    k_prime[:, :4] = 400.0
+    targets = rng.uniform(LO, HI, (T, n))
+    targets[::7, ::5] = LO
+    targets[3::7, 1::5] = HI
+    if one_row_grant:   # equal and static hold one row for every tick
+        granted = rng.choice([0.0, 0.5, 12.0, 399.0, 401.0, 1e15, 1e300], n)
+        grant_rows = np.broadcast_to(granted, (T, n))
+    else:
+        choice = rng.integers(0, 8, (T, n))
+        granted = np.choose(choice, [
+            np.zeros((T, n)), np.full((T, n), 0.5), k_prime - 1, k_prime,
+            k_prime + 1, np.full((T, n), 1e15), np.full((T, n), 1e300),
+            rng.uniform(0, 450, (T, n))])
+        grant_rows = granted
+    start = rng.uniform(LO, HI, n)
+
+    block_actions = start.copy()
+    increments = step_bank(block_actions, targets, k_prime, granted)
+    assert increments.shape == (T, n)
+    regret = np.cumsum(increments, axis=0)
+
+    row_actions, row_regret = start.copy(), np.zeros(n)
+    twins = [DigitalTwin() for _ in range(n)]
+    for twin, x0 in zip(twins, start.tolist()):
+        twin._action = x0
+    for t in range(T):
+        row = step_bank(row_actions, targets[t:t + 1], k_prime[t:t + 1],
+                        grant_rows[t:t + 1])
+        assert row.shape == (1, n)
+        assert np.array_equal(row[0], increments[t]), t
+        update_regret(row_regret, row[0])
+        assert np.array_equal(row_regret, regret[t]), t
+        for twin, req, c in zip(twins, k_prime[t].tolist(),
+                                targets[t].tolist()):
+            twin.assign_task(int(req), c)
+        assert [step_control(twin, g) for twin, g in zip(
+            twins, grant_rows[t].tolist())] == row[0].tolist(), t
+        assert [twin.action for twin in twins] == row_actions.tolist(), t
+    assert np.array_equal(block_actions, row_actions)
+    assert (increments == 0.0).any() and (increments != 0.0).any()
+
+
+def test_power_table_is_q_to_the_k():
+    # one table of q ** k serves both twin paths: every entry is q ** k in
+    # Python and in numpy, and it ends at the first k where q ** k is 0.0
+    table, q = twin_module._Q_POWERS, twin_module._Q
+    ks = np.arange(len(table))
+    assert table == tuple(q ** k for k in range(len(table)))
+    assert table == tuple(np.float_power(q, ks.astype(float)).tolist())
+    assert table[-1] == 0.0 and all(table[:-1])
+    assert len(table) == 3341
+    assert twin_module._Q_POWER_ARRAY.tolist() == list(table)
+    beyond = [len(table), len(table) + 1, 4000, 10 ** 6, 2 ** 53, 10 ** 300]
+    beyond += np.random.default_rng(5).integers(len(table), 2 ** 62,
+                                                200).tolist()
+    assert all(q ** k == 0.0 for k in beyond)
+    assert twin_module._q_power(np.array(beyond, dtype=float)).tolist() == [
+        0.0] * len(beyond)
+    # no bit moves from the powers step_control used to compute
+    assert all(q ** k == np.float_power(q, float(k)) for k in range(4000))
 
 
 def test_reference_descent_never_needs_its_clamp():
