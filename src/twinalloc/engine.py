@@ -12,9 +12,10 @@ the actions, after checking the setpoint walk against the task box once.
 Equal, static and online never read regret, so a wide run of one of them
 fills its whole grant schedule first, each row checked before the next is
 solved, then steps the bank over the schedule in row blocks; event steps
-it one row per tick. A narrower run keeps one DigitalTwin per resource,
-which takes its requirement and setpoint at the start of the tick and runs
-step_control with its grant. All paths give the same bits. The residual
+it one row per tick, checking each grant row on the tick it is solved. A
+narrower run keeps one DigitalTwin per resource, which takes its
+requirement and setpoint at the start of the tick and runs step_control
+with its grant. All paths give the same bits. The residual
 series is computed once, after the last tick. All randomness comes from
 named substreams of one master seed, so the walks are identical across
 policies and independent of execution order. Substream (seed, domain, i)
@@ -49,9 +50,11 @@ _DOMAIN_TWIN_TARGETS = 1
 _DOMAIN_SCENARIO = 2
 
 # Runs with at least this many twins step them as one array bank
-# (twin.step_bank); narrower runs loop over DigitalTwin objects. The bank's
-# fixed cost per tick is about twenty numpy calls: at 1000 ticks it lost to
-# the loop on most policies at 20 twins and won on all four from 40.
+# (twin.step_bank); narrower runs loop over DigitalTwin objects. A one-row
+# bank step costs about two dozen numpy calls: at 1000 ticks the bank lost
+# to the loop on most policies at 20 twins and won on all four from 40.
+# Event, the one policy still stepped a row per tick, wins from 30 with
+# the block step_bank.
 BANK_MIN_RESOURCES = 40
 
 
@@ -176,7 +179,8 @@ def _integers(streams: np.ndarray, lo: int, hi: int, size: int) -> np.ndarray:
         raw, streams = _pcg64_outputs(streams, -(-need * bits // 64))
         if bits == 32:  # each word as its little-endian uint32 pair
             words = raw.astype("<u8", copy=False).view("<u4")
-            product = words * np.uint64(span)
+            # the uint64 loop: a 32-bit one would wrap the products
+            product = np.multiply(words, np.uint64(span), dtype=np.uint64)
             value, left = product >> 32, product & _LOW32
         else:
             value, left = _mul64(raw, np.uint64(span))
@@ -321,6 +325,7 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
     realloc_ticks: list[int] = []  # for event: its events, ascending
 
     held_alloc = None         # current fixed allocation (equal/static/event)
+    checked = None            # the last grant row check_grants passed
 
     if bank and policy is not PolicyKind.EVENT_TRIGGERED:
         # open loop: no grant reads regret, so the whole schedule comes
@@ -382,9 +387,11 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
                     if t >= 1:
                         realloc_ticks.append(t)
 
-                if bank:
+                if bank:  # event: each grant row checked once, when new
+                    if alloc is not checked:
+                        checked = check_grants(alloc)
                     increments = step_bank(actions, targets[t:t + 1],
-                                           k_prime[t:t + 1], alloc[None])[0]
+                                           k_prime[t:t + 1], checked)[0]
                 else:
                     increments = [step_control(twin, grant) for twin, grant
                                   in zip(twins, alloc.tolist())]

@@ -16,7 +16,7 @@ and regret budgets are arrays over all twins, held by the caller.
 
 from __future__ import annotations
 
-from itertools import count, takewhile
+from itertools import count, repeat, takewhile
 from math import floor, isfinite
 from operator import index
 
@@ -167,19 +167,28 @@ def step_bank(actions: np.ndarray, targets, k_prime, granted) -> np.ndarray:
     row for every tick. Moves the actions (the population's only state) in
     place past the last row and returns the (ticks, n) regret increments.
 
-    The caller checks once per run that the setpoints lie in the box and
-    every k' >= 1; the grants are checked here (check_grants). Only the
-    actions step tick by tick, x = clip(c + q^g (x - c)); the requested
-    runs and the increments are then whole-block array operations. Each
-    element takes step_control's operations in its order, with the same
-    powers of q and np.float_power for the squares, so actions and
-    increments equal step_control's bit for bit.
+    The caller checks the grants (check_grants), and once per run that the
+    setpoints lie in the box and every k' >= 1. Only the actions step tick
+    by tick, x = clip(c + q^g (x - c)); the requested runs and the
+    increments are then whole-block array operations. A one-row block, as
+    event steps each tick, skips the block's buffer and loop, whose fixed
+    cost exceeds its row operations. Each element takes step_control's
+    operations in its order, with the same powers of q and np.float_power
+    for the squares, so actions and increments equal step_control's bit
+    for bit.
     """
     lo, hi = DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH
-    granted = check_grants(granted)
     q_granted = _q_power(np.maximum(np.floor(granted + _FLOOR_GUARD), 1.0))
-    if q_granted.shape != targets.shape:   # one row held for every tick
-        q_granted = np.broadcast_to(q_granted, targets.shape)
+    if len(targets) == 1:
+        x = actions[None]   # the actions as a one-row block, moved in place
+        d0 = x - targets
+        x_requested = np.minimum(np.maximum(
+            targets + _q_power(k_prime) * d0, lo), hi)
+        np.minimum(np.maximum(targets + q_granted * d0, lo), hi, out=x)
+        return (_HALF_KAPPA * np.float_power(x - targets, 2)
+                - _HALF_KAPPA * np.float_power(x_requested - targets, 2))
+    if q_granted.ndim < targets.ndim:   # one row held for every tick
+        q_granted = repeat(q_granted)
     # each tick's x - c from its start, then the granted and requested ends
     ends = np.empty((3, *targets.shape))
     d0, runs = ends[0], ends[1:]
@@ -191,18 +200,14 @@ def step_bank(actions: np.ndarray, targets, k_prime, granted) -> np.ndarray:
         np.maximum(row, lo, out=row)
         x = np.minimum(row, hi, out=row)
     actions[:] = x
-    q_requested = _q_power(k_prime)
-    requested = np.multiply(q_requested, d0, out=runs[1])
+    requested = np.multiply(_q_power(k_prime), d0, out=runs[1])
     requested += targets
     np.maximum(requested, lo, out=requested)
     np.minimum(requested, hi, out=requested)
     runs -= targets
-    # where q^g = q^k' both runs end on the same bits and the increment is
-    # 0.0, with or without its squares: only the others are squared
-    squares = np.zeros(runs.shape)
-    np.float_power(runs, 2, out=squares, where=q_granted != q_requested)
-    squares *= _HALF_KAPPA
-    return squares[0] - squares[1]
+    np.float_power(runs, 2, out=runs)
+    runs *= _HALF_KAPPA
+    return runs[0] - runs[1]
 
 
 def update_regret(regret: np.ndarray, increments) -> np.ndarray:

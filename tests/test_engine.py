@@ -627,6 +627,32 @@ def test_bad_grant_stops_the_run_at_its_tick(monkeypatch, tmp_path, capsys,
     assert "error: tick 4: granted must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("solve", ["allocate_static", "allocate_event"])
+@pytest.mark.parametrize("bank", [False, True], ids=["per-twin", "bank"])
+def test_bad_event_grant_stops_the_run_at_its_tick(monkeypatch, bank, solve):
+    # event's grant rows, the static one at tick 0 and each re-solve, are
+    # checked on the tick they are solved, on either twin path
+    cfg = small_config(n_ticks=40, stationary_prefix=0, epsilon_per_step=0.05)
+    monkeypatch.setattr("twinalloc.engine.BANK_MIN_RESOURCES",
+                        cfg.n_resources if bank else cfg.n_resources + 1)
+    first = (0 if solve == "allocate_static" else
+             run_scenario(cfg, PolicyKind.EVENT_TRIGGERED, 0)
+             .reallocation_ticks[0])
+    real = getattr(engine, solve)
+
+    def spoiled(*args):
+        alloc = real(*args)
+        alloc[1] = float("nan")
+        return alloc
+
+    monkeypatch.setattr(f"twinalloc.engine.{solve}", spoiled)
+    with pytest.raises(SimulationError) as err:
+        run_scenario(cfg, PolicyKind.EVENT_TRIGGERED, 0)
+    assert first > 0 or solve == "allocate_static"
+    assert err.value.tick == first
+    assert "granted must be" in str(err.value)
+
+
 def test_wide_online_stops_at_the_first_bad_tick(monkeypatch, tmp_path,
                                                  capsys):
     # the wide online run solves its whole schedule before the twins step,

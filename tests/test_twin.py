@@ -12,7 +12,7 @@ from twinalloc.solver import (BoxSet, SmoothConvexProblem,
                               iterations_for_delta, pga_solve)
 from twinalloc.twin import (DEFAULT_BOX_HIGH, DEFAULT_BOX_LOW,
                             DEFAULT_EPSILON_FACTOR, DEFAULT_TWIN_STEP_ALPHA,
-                            DigitalTwin, check_satisfaction,
+                            DigitalTwin, check_grants, check_satisfaction,
                             compute_requirement, forecast_requirements,
                             regret_budgets, step_bank, step_control,
                             update_regret)
@@ -140,12 +140,10 @@ def test_grant_is_floored_and_validated():
     for bad in (float("inf"), -1.0, float("nan")):
         with pytest.raises(ValueError):
             step_control(twin, bad)
-        # the bank checks a tick's grants in one array test, actions intact
-        actions = np.full(3, 5.0)
+        # the bank's caller checks a block of grants in one array test
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            step_bank(actions, np.full((2, 3), 2.5), np.full((2, 3), 6.0),
-                      np.array([[1.0, 1.0, 1.0], [1.0, bad, 2.0]]))
-        assert actions.tolist() == [5.0, 5.0, 5.0]
+            check_grants(np.array([[1.0, 1.0, 1.0], [1.0, bad, 2.0]]))
+    assert check_grants([[0.0, 1e300], [0.5, 7.0]]).dtype == float
 
 
 def _assert_matches_reference(twin, out, want):
@@ -221,6 +219,10 @@ def test_increment_equals_pair_form_bit_for_bit():
             cases.append((x0, c, k_prime, grant, out, action))
     assert len(cases) == 16 * 16 * 7 * 6
     x0, c, k_prime, grant, out, action = np.array(cases).T
+    # the same cases as the first row of a two-row block
+    block = step_bank(x0.copy(), np.stack([c, c]), np.stack([k_prime] * 2),
+                      grant)
+    assert np.array_equal(block[0], out)
     increments = step_bank(x0, c[None], k_prime[None], grant[None])
     assert increments.shape == (1, len(cases))
     assert np.array_equal(increments[0], out)
