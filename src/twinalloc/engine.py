@@ -1,27 +1,25 @@
 """Deterministic tick-loop orchestration of twins and the network manager.
 
 The plant-floor requirement walk and the twins' setpoint walks are drawn
-for the whole run up front, and the reports k' and their floors are
-computed and checked once for the whole walk; every twin's regret and
-budget are arrays. Per tick, the active allocation policy runs on the
-tick's reports (the walk row, which is also their persistence forecast),
-the twins take their grants, the regret array takes the tick's increments,
-then regret and allocation are recorded. A run of BANK_MIN_RESOURCES twins
-or more steps them as one array bank (twin.step_bank), whose only state is
-the actions, after checking the setpoint walk against the task box once.
-Equal, static and online never read regret, so a wide run of one of them
-fills its whole grant schedule first, each row checked before the next is
-solved, then steps the bank over the schedule in row blocks; event steps
-it one row per tick, checking each grant row on the tick it is solved. A
+for the whole run up front. The reports k', their floors and the setpoints
+are checked once, before tick 0; every twin's regret and budget are
+arrays. A run then takes one of two loops. Equal, static and online never
+read regret, so theirs is open loop: the whole grant schedule comes first,
+each row checked before the next is solved, then the twins step over it.
+Event is the one closed loop: it holds one checked grant row, re-solves
+when the regret trigger fires, and steps the twins a tick at a time. Only
+the stepping depends on the width. From BANK_MIN_RESOURCES twins one array
+bank (twin.step_bank), whose only state is the actions, steps them all:
+over an open-loop schedule in row blocks, under event one row per tick. A
 narrower run keeps one DigitalTwin per resource, which takes its
-requirement and setpoint at the start of the tick and runs step_control
-with its grant. All paths give the same bits. The residual
-series is computed once, after the last tick. All randomness comes from
-named substreams of one master seed, so the walks are identical across
-policies and independent of execution order. Substream (seed, domain, i)
-is numpy's Generator(PCG64(SeedSequence((seed, domain, i)))); the engine
-draws all of a walk's substreams at once in its own vectorised pass of the
-same hash and generator, bit for bit, at one 128-bit multiply per output.
+requirement and setpoint and runs step_control with its grant each tick.
+Both give the same bits. The residual series is computed once, after the
+last tick. All randomness comes from named substreams of one master seed,
+so the walks are identical across policies and independent of execution
+order. Substream (seed, domain, i) is numpy's
+Generator(PCG64(SeedSequence((seed, domain, i)))); the engine draws all
+of a walk's substreams at once in its own vectorised pass of the same hash
+and generator, bit for bit, at one 128-bit multiply per output.
 """
 
 from __future__ import annotations
@@ -309,14 +307,9 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
     k_prime, k_lower = compute_requirement(requirement_series, config.gap)
     if not np.all((1.0 <= k_lower) & (k_lower <= k_prime)):
         raise SimulationError(0, "requirement floors must lie in [1, k']")
-    bank = n >= BANK_MIN_RESOURCES
-    if bank:  # step_bank takes the setpoints unchecked
-        if not np.all((DEFAULT_BOX_LOW <= targets)
-                      & (targets <= DEFAULT_BOX_HIGH)):  # and NaN
-            raise SimulationError(0, "targets must lie in the task box")
-        actions = np.full(n, START_ACTION)
-    else:
-        twins = [DigitalTwin() for _ in range(n)]
+    if not np.all((DEFAULT_BOX_LOW <= targets)
+                  & (targets <= DEFAULT_BOX_HIGH)):  # and NaN
+        raise SimulationError(0, "targets must lie in the task box")
     epsilon = regret_budgets(requirement_series[0], config.epsilon_per_step)
     regret = np.zeros(n)      # per twin, since the last reallocation event
 
@@ -324,83 +317,66 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
     allocation_series = np.empty((n_ticks, n))
     realloc_ticks: list[int] = []  # for event: its events, ascending
 
-    held_alloc = None         # current fixed allocation (equal/static/event)
-    checked = None            # the last grant row check_grants passed
+    bank = n >= BANK_MIN_RESOURCES
+    if bank:
+        actions = np.full(n, START_ACTION)
 
-    if bank and policy is not PolicyKind.EVENT_TRIGGERED:
-        # open loop: no grant reads regret, so the whole schedule comes
-        # first, each row checked before the next is solved; then the bank
-        # steps over it in row blocks, and regret is the running sum
-        t = 0
-        try:
+        def step(t, grants):  # every twin one tick: the increments
+            return step_bank(actions, targets[t:t + 1], k_prime[t:t + 1],
+                             grants)[0]
+    else:
+        twins = [DigitalTwin() for _ in range(n)]
+
+        def step(t, grants):
+            for twin, req, target in zip(twins, requirement_series[t].tolist(),
+                                         targets[t].tolist()):
+                twin.assign_task(req, target)
+            return [step_control(twin, grant)
+                    for twin, grant in zip(twins, grants.tolist())]
+
+    t = 0
+    try:
+        if policy is PolicyKind.EVENT_TRIGGERED:
+            # closed loop: one checked grant row held until the trigger fires
+            grants = check_grants(allocate_static(k_prime[0], capacity))
+            for t in range(n_ticks):
+                if t and should_trigger(regret, epsilon, t - (
+                        realloc_ticks[-1] if realloc_ticks else 0)):
+                    horizon = estimate_event_horizon(realloc_ticks)
+                    grants = check_grants(allocate_event(
+                        k_prime[t], k_lower[t], constraints, horizon))
+                    realloc_ticks.append(t)
+                    regret[:] = 0.0
+                regret_series[t] = update_regret(regret, step(t, grants))
+                allocation_series[t] = grants
+        else:
+            # open loop: no grant reads regret, so the whole schedule comes
+            # first, each row checked before the next is solved; then the
+            # twins step over it, and regret is the running sum
             if policy is PolicyKind.ONLINE_DYNAMIC:
                 for t in range(n_ticks):
                     allocation_series[t] = check_grants(allocate_online(
                         k_prime[t], k_lower[t], constraints))
                 realloc_ticks.extend(range(1, n_ticks))
             else:
-                held_alloc = check_grants(
+                allocation_series[:] = check_grants(
                     allocate_equal(n, capacity) if policy is PolicyKind.EQUAL
                     else allocate_static(k_prime[0], capacity))
-                allocation_series[:] = held_alloc
-        except Exception as exc:
-            raise SimulationError(t, str(exc)) from exc
-        rows = max(1, _BLOCK // n)
-        for t in range(0, n_ticks, rows):
-            block = slice(t, t + rows)
-            increments = step_bank(
-                actions, targets[block], k_prime[block],
-                allocation_series[block] if held_alloc is None else held_alloc)
-            for row, out in zip(increments, regret_series[block]):
-                regret = np.add(regret, row, out=out)
-    else:
-        for t in range(n_ticks):
-            try:
-                if not bank:
-                    for twin, req, target in zip(
-                            twins, requirement_series[t].tolist(),
-                            targets[t].tolist()):
-                        twin.assign_task(req, target)
-
-                if policy is PolicyKind.EQUAL:
-                    if held_alloc is None:
-                        held_alloc = allocate_equal(n, capacity)
-                    alloc = held_alloc
-                elif policy is PolicyKind.STATIC:
-                    if held_alloc is None:
-                        held_alloc = allocate_static(k_prime[t], capacity)
-                    alloc = held_alloc
-                elif policy is PolicyKind.EVENT_TRIGGERED:
-                    if held_alloc is None:
-                        held_alloc = allocate_static(k_prime[t], capacity)
-                    elif should_trigger(regret, epsilon, t - (
-                            realloc_ticks[-1] if realloc_ticks else 0)):
-                        horizon = estimate_event_horizon(realloc_ticks)
-                        held_alloc = allocate_event(k_prime[t], k_lower[t],
-                                                    constraints, horizon)
-                        realloc_ticks.append(t)
-                        regret[:] = 0.0
-                    alloc = held_alloc
-                else:
-                    alloc = allocate_online(k_prime[t], k_lower[t],
-                                            constraints)
-                    if t >= 1:
-                        realloc_ticks.append(t)
-
-                if bank:  # event: each grant row checked once, when new
-                    if alloc is not checked:
-                        checked = check_grants(alloc)
-                    increments = step_bank(actions, targets[t:t + 1],
-                                           k_prime[t:t + 1], checked)[0]
-                else:
-                    increments = [step_control(twin, grant) for twin, grant
-                                  in zip(twins, alloc.tolist())]
-                update_regret(regret, increments)
-
-                regret_series[t] = regret
-                allocation_series[t] = alloc
-            except Exception as exc:
-                raise SimulationError(t, str(exc)) from exc
+            if bank:  # in row blocks
+                rows = max(1, _BLOCK // n)
+                for t in range(0, n_ticks, rows):
+                    block = slice(t, t + rows)
+                    increments = step_bank(actions, targets[block],
+                                           k_prime[block],
+                                           allocation_series[block])
+                    for row, out in zip(increments, regret_series[block]):
+                        regret = np.add(regret, row, out=out)
+            else:
+                for t in range(n_ticks):
+                    regret_series[t] = update_regret(
+                        regret, step(t, allocation_series[t]))
+    except Exception as exc:
+        raise SimulationError(t, str(exc)) from exc
 
     residual_series = compute_residual(k_prime, allocation_series)[1]
     after = residual_series[config.stationary_prefix:]

@@ -16,7 +16,7 @@ and regret budgets are arrays over all twins, held by the caller.
 
 from __future__ import annotations
 
-from itertools import count, repeat, takewhile
+from itertools import count, takewhile
 from math import floor, isfinite
 from operator import index
 
@@ -163,9 +163,12 @@ def _q_power(k: np.ndarray) -> np.ndarray:
 
 def step_bank(actions: np.ndarray, targets, k_prime, granted) -> np.ndarray:
     """step_control for a whole population of twins over a block of ticks:
-    row t of targets, k_prime and granted is tick t, and granted may be one
-    row for every tick. Moves the actions (the population's only state) in
-    place past the last row and returns the (ticks, n) regret increments.
+    row t of targets, k_prime and granted is tick t. The grants and k'
+    broadcast to the targets' block, so one row serves every tick; in a
+    block of two or more ticks, any other row count raises ValueError
+    before an action moves. Moves the actions (the population's only
+    state) in place past the last row and returns the (ticks, n) regret
+    increments.
 
     The caller checks the grants (check_grants), and once per run that the
     setpoints lie in the box and every k' >= 1. Only the actions step tick
@@ -187,8 +190,8 @@ def step_bank(actions: np.ndarray, targets, k_prime, granted) -> np.ndarray:
         np.minimum(np.maximum(targets + q_granted * d0, lo), hi, out=x)
         return (_HALF_KAPPA * np.float_power(x - targets, 2)
                 - _HALF_KAPPA * np.float_power(x_requested - targets, 2))
-    if q_granted.ndim < targets.ndim:   # one row held for every tick
-        q_granted = repeat(q_granted)
+    q_granted = np.broadcast_to(q_granted, targets.shape)
+    q_requested = np.broadcast_to(_q_power(k_prime), targets.shape)
     # each tick's x - c from its start, then the granted and requested ends
     ends = np.empty((3, *targets.shape))
     d0, runs = ends[0], ends[1:]
@@ -200,7 +203,7 @@ def step_bank(actions: np.ndarray, targets, k_prime, granted) -> np.ndarray:
         np.maximum(row, lo, out=row)
         x = np.minimum(row, hi, out=row)
     actions[:] = x
-    requested = np.multiply(_q_power(k_prime), d0, out=runs[1])
+    requested = np.multiply(q_requested, d0, out=runs[1])
     requested += targets
     np.maximum(requested, lo, out=requested)
     np.minimum(requested, hi, out=requested)

@@ -580,7 +580,7 @@ def test_reports_and_floors_are_computed_and_checked_once(monkeypatch):
     assert "floors" in str(err.value)
 
 
-def test_failures_carry_the_tick(monkeypatch):
+def test_failures_carry_the_tick(monkeypatch, tmp_path, capsys):
     def explode(*args, **kwargs):
         raise RuntimeError("boom")
 
@@ -591,6 +591,34 @@ def test_failures_carry_the_tick(monkeypatch):
     assert err.value.tick == 0
     assert "tick 0" in str(err.value)
     assert "boom" in str(err.value)
+
+    # a wide static run steps its schedule in row blocks: a failure in the
+    # second block names that block's first tick, and simulate exits 1
+    wide = small_config(n_resources=1000, n_ticks=10, stationary_prefix=0)
+    rows = engine._BLOCK // wide.n_resources
+    step_bank, calls = engine.step_bank, []
+
+    def fails_second_block(*args):
+        calls.append(len(args[1]))
+        if len(calls) == 2:
+            raise RuntimeError("injected")
+        return step_bank(*args)
+
+    monkeypatch.setattr("twinalloc.engine.step_bank", fails_second_block)
+    with pytest.raises(SimulationError) as err:
+        run_scenario(wide, PolicyKind.STATIC, 0)
+    assert calls == [rows, rows] and rows < wide.n_ticks
+    assert err.value.tick == rows
+    assert f"tick {rows}: injected" in str(err.value)
+
+    calls.clear()
+    scenario = tmp_path / "scenario.json"
+    save_scenario(wide, scenario)
+    out = tmp_path / "out"
+    assert main(["simulate", "--policy", "static", "--scenario", str(scenario),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"error: tick {rows}: injected" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -1.0])
@@ -653,14 +681,17 @@ def test_bad_event_grant_stops_the_run_at_its_tick(monkeypatch, bank, solve):
     assert "granted must be" in str(err.value)
 
 
-def test_wide_online_stops_at_the_first_bad_tick(monkeypatch, tmp_path,
-                                                 capsys):
-    # the wide online run solves its whole schedule before the twins step,
-    # but checks each row before it solves the next: a NaN grant at tick 4
-    # stops the run there, and the solve of tick 6, which would raise a
-    # SolverError (exit 3), is never called
+@pytest.mark.parametrize("bank", [False, True], ids=["per-twin", "bank"])
+def test_online_stops_at_the_first_bad_tick(monkeypatch, tmp_path, capsys,
+                                            bank):
+    # online solves its whole schedule before any twin steps, on either
+    # twin path, but checks each row before it solves the next: a NaN grant
+    # at tick 4 stops the run there, and the solve of tick 6, which would
+    # raise a SolverError (exit 3), is never called
     cfg = small_config(n_resources=engine.BANK_MIN_RESOURCES, n_ticks=10,
                        stationary_prefix=0)
+    monkeypatch.setattr("twinalloc.engine.BANK_MIN_RESOURCES",
+                        cfg.n_resources if bank else cfg.n_resources + 1)
     solve, ticks = engine.allocate_online, []
 
     def spoiled(*args):
@@ -673,9 +704,11 @@ def test_wide_online_stops_at_the_first_bad_tick(monkeypatch, tmp_path,
         return alloc
 
     monkeypatch.setattr("twinalloc.engine.allocate_online", spoiled)
-    monkeypatch.setattr("twinalloc.engine.step_control", _forbidden)
-    with pytest.raises(SimulationError) as err:
-        run_scenario(cfg, PolicyKind.ONLINE_DYNAMIC, 0)
+    with monkeypatch.context() as patch:   # no twin steps before tick 4's check
+        patch.setattr("twinalloc.engine.step_control", _forbidden)
+        patch.setattr("twinalloc.engine.step_bank", _forbidden)
+        with pytest.raises(SimulationError) as err:
+            run_scenario(cfg, PolicyKind.ONLINE_DYNAMIC, 0)
     assert err.value.tick == 4
     assert "granted must be" in str(err.value)
     assert ticks == [0, 1, 2, 3, 4]
@@ -693,8 +726,8 @@ def test_wide_online_stops_at_the_first_bad_tick(monkeypatch, tmp_path,
 
 @pytest.mark.parametrize("bad", [DEFAULT_BOX_HIGH + 0.5, float("nan")])
 def test_target_outside_the_box_is_rejected(monkeypatch, bad):
-    # the bank checks the whole setpoint walk before tick 0; the per-twin
-    # loop's assign_task rejects the setpoint at its own tick
+    # both twin paths check the whole setpoint walk before tick 0, so a bad
+    # setpoint at tick 7 stops the run at tick 0 with no solve run
     walk = engine.target_walk
 
     def spoiled(config, seed):
@@ -707,20 +740,13 @@ def test_target_outside_the_box_is_rejected(monkeypatch, bad):
 
     cfg = small_config(n_ticks=12, stationary_prefix=0)
     monkeypatch.setattr("twinalloc.engine.target_walk", spoiled)
-    monkeypatch.setattr("twinalloc.engine.BANK_MIN_RESOURCES",
-                        cfg.n_resources + 1)
-    with pytest.raises(SimulationError) as err:
-        run_scenario(cfg, PolicyKind.STATIC, 0)
-    assert err.value.tick == 7
-    assert "task box" in str(err.value)
-
-    monkeypatch.setattr("twinalloc.engine.BANK_MIN_RESOURCES",
-                        cfg.n_resources)
     monkeypatch.setattr("twinalloc.engine.allocate_static", no_solve)
-    with pytest.raises(SimulationError) as err:
-        run_scenario(cfg, PolicyKind.STATIC, 0)
-    assert err.value.tick == 0
-    assert "task box" in str(err.value)
+    for threshold in (cfg.n_resources + 1, cfg.n_resources):  # per-twin, bank
+        monkeypatch.setattr("twinalloc.engine.BANK_MIN_RESOURCES", threshold)
+        with pytest.raises(SimulationError) as err:
+            run_scenario(cfg, PolicyKind.STATIC, 0)
+        assert err.value.tick == 0
+        assert "task box" in str(err.value)
 
 
 def test_run_scenario_accepts_policy_tokens():

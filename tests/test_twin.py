@@ -282,6 +282,24 @@ def test_block_equals_one_row_calls_bit_for_bit(one_row_grant):
     assert (increments == 0.0).any() and (increments != 0.0).any()
 
 
+@pytest.mark.parametrize("rows", [3, 8])
+@pytest.mark.parametrize("field", ["granted", "k_prime"])
+def test_block_rejects_a_mismatched_block(field, rows):
+    # a grant or k' block whose rows are not the targets' raises, and moves
+    # no action: one row broadcasts to every tick, any other count is wrong
+    rng = np.random.default_rng(2020)
+    T, n = 6, 50
+    args = {"targets": rng.uniform(LO, HI, (T, n)),
+            "k_prime": rng.integers(1, 50, (T, n)).astype(float),
+            "granted": rng.uniform(0, 50, (T, n))}
+    args[field] = args[field][:1].repeat(rows, axis=0)
+    actions = rng.uniform(LO, HI, n)
+    start = actions.copy()
+    with pytest.raises(ValueError):
+        step_bank(actions, **args)
+    assert np.array_equal(actions, start)
+
+
 def test_power_table_is_q_to_the_k():
     # one table of q ** k serves both twin paths: every entry is q ** k in
     # Python and in numpy, and it ends at the first k where q ** k is 0.0
