@@ -3,17 +3,17 @@
 The plant-floor requirement walk and the twins' setpoint walks are drawn
 for the whole run up front. The reports k', their floors and the setpoints
 are checked once, before tick 0; every twin's regret and budget are
-arrays. A run then takes one of two loops. Equal, static and online never
-read regret, so theirs is open loop: the whole grant schedule comes first,
-each row checked before the next is solved, then the twins step over it.
-Event is the one closed loop: it holds one checked grant row, re-solves
-when the regret trigger fires, and steps the twins a tick at a time. Only
-the stepping depends on the width. From BANK_MIN_RESOURCES twins one array
-bank (twin.step_bank), whose only state is the actions, steps them all:
-over an open-loop schedule in row blocks, under event one row per tick. A
-narrower run keeps one DigitalTwin per resource, which takes its
-requirement and setpoint and runs step_control with its grant each tick.
-Both give the same bits. The residual series is computed once, after the
+arrays. Only the step, every twin over a block of ticks, depends on the
+width: from BANK_MIN_RESOURCES twins one array bank (twin.step_bank) moves
+the actions, its only state; a narrower run walks the block's rows through
+one DigitalTwin per resource (assign_task, then step_control). Both give
+the same bits. A run takes one of two loops. Equal, static and online
+never read regret, so theirs is open loop: the whole grant schedule comes
+first, each row checked before the next is solved; the twins then step
+over it in row blocks, a failure named at its block's first tick, and
+regret is one cumulative sum. Event is the one closed loop: it holds one
+checked grant row, re-solves when the regret trigger fires, and steps a
+one-row block per tick. The residual series is computed once, after the
 last tick. All randomness comes from named substreams of one master seed,
 so the walks are identical across policies and independent of execution
 order. Substream (seed, domain, i) is numpy's
@@ -317,22 +317,23 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
     allocation_series = np.empty((n_ticks, n))
     realloc_ticks: list[int] = []  # for event: its events, ascending
 
-    bank = n >= BANK_MIN_RESOURCES
-    if bank:
+    if n >= BANK_MIN_RESOURCES:  # step: the run's one width-dependent piece
         actions = np.full(n, START_ACTION)
 
-        def step(t, grants):  # every twin one tick: the increments
-            return step_bank(actions, targets[t:t + 1], k_prime[t:t + 1],
-                             grants)[0]
+        def step(block, grants):  # a row block's (rows, n) increments
+            return step_bank(actions, targets[block], k_prime[block], grants)
     else:
         twins = [DigitalTwin() for _ in range(n)]
 
-        def step(t, grants):
-            for twin, req, target in zip(twins, requirement_series[t].tolist(),
-                                         targets[t].tolist()):
-                twin.assign_task(req, target)
-            return [step_control(twin, grant)
-                    for twin, grant in zip(twins, grants.tolist())]
+        def step(block, grants):  # the block's rows, tick by tick
+            increments = []
+            for reqs, cs, row in zip(requirement_series[block].tolist(),
+                                     targets[block].tolist(), grants.tolist()):
+                for twin, req, target in zip(twins, reqs, cs):
+                    twin.assign_task(req, target)
+                increments.append([step_control(twin, grant)
+                                   for twin, grant in zip(twins, row)])
+            return increments
 
     t = 0
     try:
@@ -347,12 +348,13 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
                         k_prime[t], k_lower[t], constraints, horizon))
                     realloc_ticks.append(t)
                     regret[:] = 0.0
-                regret_series[t] = update_regret(regret, step(t, grants))
+                regret_series[t] = update_regret(
+                    regret, step(slice(t, t + 1), grants[None])[0])
                 allocation_series[t] = grants
         else:
             # open loop: no grant reads regret, so the whole schedule comes
             # first, each row checked before the next is solved; then the
-            # twins step over it, and regret is the running sum
+            # twins step over it in row blocks, and regret is a running sum
             if policy is PolicyKind.ONLINE_DYNAMIC:
                 for t in range(n_ticks):
                     allocation_series[t] = check_grants(allocate_online(
@@ -362,19 +364,11 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
                 allocation_series[:] = check_grants(
                     allocate_equal(n, capacity) if policy is PolicyKind.EQUAL
                     else allocate_static(k_prime[0], capacity))
-            if bank:  # in row blocks
-                rows = max(1, _BLOCK // n)
-                for t in range(0, n_ticks, rows):
-                    block = slice(t, t + rows)
-                    increments = step_bank(actions, targets[block],
-                                           k_prime[block],
-                                           allocation_series[block])
-                    for row, out in zip(increments, regret_series[block]):
-                        regret = np.add(regret, row, out=out)
-            else:
-                for t in range(n_ticks):
-                    regret_series[t] = update_regret(
-                        regret, step(t, allocation_series[t]))
+            rows = max(1, _BLOCK // n)
+            for t in range(0, n_ticks, rows):
+                block = slice(t, t + rows)
+                regret_series[block] = step(block, allocation_series[block])
+            np.cumsum(regret_series, axis=0, out=regret_series)
     except Exception as exc:
         raise SimulationError(t, str(exc)) from exc
 

@@ -164,11 +164,10 @@ def _q_power(k: np.ndarray) -> np.ndarray:
 def step_bank(actions: np.ndarray, targets, k_prime, granted) -> np.ndarray:
     """step_control for a whole population of twins over a block of ticks:
     row t of targets, k_prime and granted is tick t. The grants and k'
-    broadcast to the targets' block, so one row serves every tick; in a
-    block of two or more ticks, any other row count raises ValueError
-    before an action moves. Moves the actions (the population's only
-    state) in place past the last row and returns the (ticks, n) regret
-    increments.
+    broadcast to the targets' block, so one row serves every tick; any
+    other row count raises ValueError before an action moves. Moves the
+    actions (the population's only state) in place past the last row and
+    returns the (ticks, n) regret increments.
 
     The caller checks the grants (check_grants), and once per run that the
     setpoints lie in the box and every k' >= 1. Only the actions step tick
@@ -187,6 +186,8 @@ def step_bank(actions: np.ndarray, targets, k_prime, granted) -> np.ndarray:
         d0 = x - targets
         x_requested = np.minimum(np.maximum(
             targets + _q_power(k_prime) * d0, lo), hi)
+        if x_requested.shape != x.shape:  # a k' block of several rows
+            raise ValueError("k_prime must broadcast to the targets' block")
         np.minimum(np.maximum(targets + q_granted * d0, lo), hi, out=x)
         return (_HALF_KAPPA * np.float_power(x - targets, 2)
                 - _HALF_KAPPA * np.float_power(x_requested - targets, 2))

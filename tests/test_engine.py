@@ -470,15 +470,17 @@ def _forbidden(*args):
     raise AssertionError("the other twin path ran")
 
 
-def _run_path(monkeypatch, bank, config, seed):
+def _run_path(monkeypatch, bank, config, seed, block):
     """compare_policies with the twins forced onto one path: the array
-    bank, or the per-twin loop of DigitalTwin objects."""
+    bank, or the per-twin loop of DigitalTwin objects, stepping open-loop
+    schedules in row blocks of `block` cells."""
     n = config.n_resources
     with monkeypatch.context() as patch:
         patch.setattr("twinalloc.engine.BANK_MIN_RESOURCES",
                       n if bank else n + 1)
         patch.setattr("twinalloc.engine.step_control" if bank
                       else "twinalloc.engine.step_bank", _forbidden)
+        patch.setattr("twinalloc.engine._BLOCK", block)
         return compare_policies(config, seed)
 
 
@@ -491,20 +493,24 @@ def _run_path(monkeypatch, bank, config, seed):
 ], ids=["default", "eps0.05", "period-cap"])
 def test_bank_matches_per_twin_path(monkeypatch, n, scenario):
     # both twin paths, forced at every width, give the same bits: every
-    # regret, allocation and residual series and every reallocation tick
+    # regret, allocation and residual series and every reallocation tick,
+    # in the default row blocks and in ragged 7-row ones (60 = 8 * 7 + 4)
     config = ScenarioConfig(n_resources=n, n_ticks=60, **scenario)
-    for seed in (0, 1, 2, 3, 4, 2 ** 64 - 1):
-        bank = _run_path(monkeypatch, True, config, seed)
-        loop = _run_path(monkeypatch, False, config, seed)
-        for kind, got in bank.items():
-            want = loop[kind]
-            assert got.reallocation_ticks == want.reallocation_ticks
-            for field in ("regret_series", "allocation_series",
-                          "residual_inf_series"):
-                assert np.array_equal(getattr(got, field),
-                                      getattr(want, field)), (seed, kind)
-        if scenario:   # each trigger rule fires
-            assert len(bank[PolicyKind.EVENT_TRIGGERED].reallocation_ticks) >= 2
+    for block in (engine._BLOCK, 7 * n):
+        for seed in (0, 1, 2, 3, 4, 2 ** 64 - 1):
+            bank = _run_path(monkeypatch, True, config, seed, block)
+            loop = _run_path(monkeypatch, False, config, seed, block)
+            for kind, got in bank.items():
+                want = loop[kind]
+                assert got.reallocation_ticks == want.reallocation_ticks
+                for field in ("regret_series", "allocation_series",
+                              "residual_inf_series"):
+                    assert np.array_equal(getattr(got, field),
+                                          getattr(want, field)), (
+                                              block, seed, kind)
+            if scenario:   # each trigger rule fires
+                assert len(bank[PolicyKind.EVENT_TRIGGERED]
+                           .reallocation_ticks) >= 2
 
 
 @pytest.mark.parametrize("config", [
@@ -619,6 +625,32 @@ def test_failures_carry_the_tick(monkeypatch, tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert not out.exists()
     assert f"error: tick {rows}: injected" in capsys.readouterr().err
+
+    # so does a narrow one, whose per-twin step walks each block's rows:
+    # step_control fails at tick 6, inside the second 4-row block
+    narrow = small_config(n_resources=20, n_ticks=10, stationary_prefix=0)
+    monkeypatch.setattr("twinalloc.engine._BLOCK", 4 * narrow.n_resources)
+    step_control, controls = engine.step_control, []
+
+    def fails_at_tick_6(twin, grant):
+        controls.append(grant)
+        if len(controls) == 6 * narrow.n_resources + 3:
+            raise RuntimeError("injected")
+        return step_control(twin, grant)
+
+    monkeypatch.setattr("twinalloc.engine.step_control", fails_at_tick_6)
+    with pytest.raises(SimulationError) as err:
+        run_scenario(narrow, PolicyKind.STATIC, 0)
+    assert err.value.tick == 4
+    assert "tick 4: injected" in str(err.value)
+
+    controls.clear()
+    save_scenario(narrow, scenario)
+    out = tmp_path / "narrow"
+    assert main(["simulate", "--policy", "static", "--scenario", str(scenario),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "error: tick 4: injected" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -1.0])

@@ -300,6 +300,23 @@ def test_block_rejects_a_mismatched_block(field, rows):
     assert np.array_equal(actions, start)
 
 
+@pytest.mark.parametrize("field", ["granted", "k_prime"])
+def test_one_row_block_rejects_a_mismatched_block(field):
+    # event's one-row step checks its grant and k' blocks too: three rows
+    # for one tick raise, and move no action
+    rng = np.random.default_rng(2022)
+    n = 5
+    args = {"targets": rng.uniform(LO, HI, (1, n)),
+            "k_prime": rng.integers(1, 50, (1, n)).astype(float),
+            "granted": rng.uniform(0, 50, (1, n))}
+    args[field] = args[field].repeat(3, axis=0)
+    actions = rng.uniform(LO, HI, n)
+    start = actions.copy()
+    with pytest.raises(ValueError):
+        step_bank(actions, **args)
+    assert np.array_equal(actions, start)
+
+
 def test_power_table_is_q_to_the_k():
     # one table of q ** k serves both twin paths: every entry is q ** k in
     # Python and in numpy, and it ends at the first k where q ** k is 0.0
