@@ -8,8 +8,9 @@ Pass an output directory to also write the per-tick CSV and the SVG chart.
 import sys
 
 from twinalloc import (PolicyKind, ScenarioConfig, compare_policies,
-                       render_comparison_svg, summarize, write_metrics_csv)
-from twinalloc.report import metrics_rows
+                       metrics_csv, render_comparison_svg, summarize,
+                       write_metrics_csv)
+from twinalloc.engine import write_text
 
 
 def main(argv):
@@ -27,11 +28,9 @@ def main(argv):
         import os
         os.makedirs(out, exist_ok=True)
         write_metrics_csv(os.path.join(out, "comparison.csv"),
-                          [row for k in PolicyKind
-                           for row in metrics_rows(results[k])])
-        with open(os.path.join(out, "comparison.svg"), "w",
-                  encoding="utf-8", newline="") as fh:
-            fh.write(render_comparison_svg(results, config))
+                          "".join(metrics_csv(results[k]) for k in PolicyKind))
+        write_text(os.path.join(out, "comparison.svg"),
+                   render_comparison_svg(results, config))
         print(f"wrote comparison.csv and comparison.svg to {out}")
 
 

@@ -18,8 +18,8 @@ from .engine import (SimResult, SimulationError, compare_policies,
 from .manager import (PolicyKind, allocate_equal, allocate_event,
                       allocate_online, allocate_static,
                       estimate_event_horizon, should_trigger)
-from .report import (build_manifest, config_digest, render_comparison_svg,
-                     render_metrics_csv, summarize, write_manifest,
+from .report import (build_manifest, config_digest, metrics_csv,
+                     render_comparison_svg, summarize, write_manifest,
                      write_metrics_csv)
 from .solver import (BoxSet, SmoothConvexProblem, SolverError,
                      iterations_for_delta, pga_solve, project_capped_simplex)
@@ -39,8 +39,8 @@ __all__ = [
     "check_satisfaction", "compare_policies", "compute_requirement",
     "compute_residual", "config_digest", "estimate_event_horizon",
     "evolve_requirements", "forecast_requirements", "iterations_for_delta",
-    "load_scenario", "pga_solve", "project_capped_simplex", "regret_budgets",
-    "render_comparison_svg", "render_metrics_csv", "requirement_walk",
+    "load_scenario", "metrics_csv", "pga_solve", "project_capped_simplex",
+    "regret_budgets", "render_comparison_svg", "requirement_walk",
     "run_scenario", "save_scenario", "scenario_from_dict", "scenario_to_dict",
     "should_trigger", "step_control", "summarize", "target_walk",
     "update_regret", "write_manifest", "write_metrics_csv",

@@ -12,9 +12,10 @@ import os
 import sys
 
 from .core import ScenarioValidationError
-from .engine import SimulationError, compare_policies, load_scenario, run_scenario
+from .engine import (SimulationError, compare_policies, load_scenario,
+                     run_scenario, write_text)
 from .manager import PolicyKind
-from .report import (build_manifest, metrics_rows, render_comparison_svg,
+from .report import (build_manifest, metrics_csv, render_comparison_svg,
                      summarize, write_manifest, write_metrics_csv)
 from .solver import SolverError
 
@@ -88,7 +89,7 @@ def cmd_simulate(args, argv) -> int:
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "metrics.csv")
     manifest_path = os.path.join(args.out, "manifest.json")
-    write_metrics_csv(csv_path, metrics_rows(result))
+    write_metrics_csv(csv_path, metrics_csv(result))
     manifest = build_manifest(_command_string(argv), config, seed,
                               outputs={"metrics_csv": csv_path},
                               results={policy: result})
@@ -107,10 +108,11 @@ def cmd_compare(args, argv) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     outputs = {}
-    bodies = []  # each policy's table, rendered once for both its files
-    for kind in PolicyKind:
+    # each policy's table is rendered once, for its own file and the joint one
+    bodies = [metrics_csv(results[kind]) for kind in PolicyKind]
+    for kind, body in zip(PolicyKind, bodies):
         path = os.path.join(args.out, f"metrics_{kind.value}.csv")
-        bodies.append(write_metrics_csv(path, metrics_rows(results[kind])))
+        write_metrics_csv(path, body)
         outputs[f"metrics_{kind.value}_csv"] = path
 
     combined_path = os.path.join(args.out, "comparison.csv")
@@ -118,14 +120,12 @@ def cmd_compare(args, argv) -> int:
     outputs["comparison_csv"] = combined_path
 
     svg_path = os.path.join(args.out, "comparison.svg")
-    with open(svg_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_comparison_svg(results, config))
+    write_text(svg_path, render_comparison_svg(results, config))
     outputs["comparison_svg"] = svg_path
 
     summary = summarize(results)
     summary_path = os.path.join(args.out, "summary.txt")
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(summary)
+    write_text(summary_path, summary)
     outputs["summary_txt"] = summary_path
 
     manifest = build_manifest(_command_string(argv), config, seed,

@@ -48,11 +48,12 @@ _DOMAIN_TWIN_TARGETS = 1
 _DOMAIN_SCENARIO = 2
 
 # Runs with at least this many twins step them as one array bank
-# (twin.step_bank); narrower runs loop over DigitalTwin objects. A one-row
-# bank step costs about two dozen numpy calls: at 1000 ticks the bank lost
-# to the loop on most policies at 20 twins and won on all four from 40.
-# Event, the one policy still stepped a row per tick, wins from 30 with
-# the block step_bank.
+# (twin.step_bank); narrower runs loop over DigitalTwin objects. It is no
+# longer a speed crossover: at 20 twins and 1000 ticks the bank wins on
+# equal, static and online and ties on event (event's one-row bank step
+# loses only below about ten twins). It stays 40 because the benchmark's
+# count test pins one assign_task and one step_control call per twin-tick
+# at 20 twins, until the bank steps every width.
 BANK_MIN_RESOURCES = 40
 
 
@@ -424,17 +425,25 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Read a scenario JSON file; OSError and validation errors propagate."""
+    """Read a scenario JSON file; OSError and validation errors propagate.
+    Bytes that are not UTF-8 JSON, integers too long to convert and nesting
+    too deep to decode are invalid scenarios."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ScenarioValidationError(
                 [f"scenario file is not valid JSON: {exc}"]) from exc
     return scenario_from_dict(data)
 
 
+def write_text(path, text: str) -> None:
+    """Write text as UTF-8 with its LF line endings untranslated; every
+    file the package writes goes through here."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def save_scenario(config: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(scenario_to_dict(config), indent=2,
+                                sort_keys=True) + "\n")

@@ -6,16 +6,13 @@ results, so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
-import itertools
 import json
 
 import numpy as np
 
 from .core import DEFAULT_MAX_DEVIATION, ScenarioConfig
-from .engine import SimResult, scenario_to_dict
+from .engine import SimResult, scenario_to_dict, write_text
 from .manager import PolicyKind
 
 CSV_HEADER = ("tick", "policy", "residual_inf", "mean_regret", "max_regret",
@@ -36,40 +33,25 @@ _POLICY_LABELS = {
 }
 
 
-def metrics_rows(result: SimResult) -> list[tuple]:
-    """Per-tick metric rows for one run, in CSV column order."""
+def metrics_csv(result: SimResult) -> str:
+    """CSV body for one run: a line per tick in CSV_HEADER order, floats
+    as repr, the form csv.writer gives them."""
     regret = result.regret_series
     realloc = np.zeros(result.n_ticks, dtype=np.int64)
     realloc[list(result.reallocation_ticks)] = 1
-    return list(zip(range(result.n_ticks),
-                    itertools.repeat(result.policy.value),
-                    result.residual_inf_series.tolist(),
-                    regret.mean(axis=1).tolist(),
-                    np.abs(regret).max(axis=1).tolist(),
-                    np.cumsum(realloc).tolist()))
+    policy = result.policy.value
+    return "".join([
+        f"{t},{policy},{r!r},{mean!r},{peak!r},{count}\n"
+        for t, (r, mean, peak, count) in enumerate(zip(
+            result.residual_inf_series.tolist(),
+            regret.mean(axis=1).tolist(),
+            np.abs(regret).max(axis=1).tolist(),
+            np.cumsum(realloc).tolist()))])
 
 
-def _csv_body(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
-_CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
-
-
-def render_metrics_csv(rows) -> str:
-    """CSV text for rows built by metrics_rows, under the header."""
-    return _CSV_HEADER_LINE + _csv_body(rows)
-
-
-def write_metrics_csv(path, table) -> str:
-    """Write the header and a table, rows built by metrics_rows or a body
-    returned here before; return the body, so each table renders once."""
-    body = table if isinstance(table, str) else _csv_body(table)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_CSV_HEADER_LINE + body)
-    return body
+def write_metrics_csv(path, body: str) -> None:
+    """Write the CSV header and a body rendered by metrics_csv."""
+    write_text(path, ",".join(CSV_HEADER) + "\n" + body)
 
 
 def render_comparison_svg(results: dict[PolicyKind, SimResult],
@@ -204,6 +186,5 @@ def build_manifest(command: str, config: ScenarioConfig, seed: int,
 
 
 def write_manifest(path, manifest: dict) -> None:
-    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text + "\n")
+    write_text(path, json.dumps(manifest, indent=2, sort_keys=True,
+                                allow_nan=False) + "\n")

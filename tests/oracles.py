@@ -3,13 +3,16 @@
 Everything here is deliberately brute force: dense grids, exhaustive
 active-set enumeration, rejection sampling, a step-by-step descent, a
 breakpoint search one knot at a time. None of it shares code with the
-package under test. Three exceptions are earlier forms kept to check their
+package under test. Four exceptions are earlier forms kept to check their
 successors: step_control_pair, the twin's control step, and
 forecast_solve_inputs, the allocation policies' persistence-forecast inputs,
-both bit-exact; and project_capped_simplex_sort, the projection before it
-became the hinge solve at rho = 0, within rounding.
+both bit-exact; metrics_csv_writer, the metrics table as csv.writer
+rendered it, byte-exact; and project_capped_simplex_sort, the projection
+before it became the hinge solve at rho = 0, within rounding.
 """
 
+import csv
+import io
 import itertools
 import math
 
@@ -229,3 +232,19 @@ def forecast_solve_inputs(k_prime, lower_bounds, max_deviation, rho,
     forecast = np.tile(np.asarray(k_prime, dtype=float), (N_e + 1, 1))
     return (forecast[1:N_e + 1].mean(axis=0), lower_bounds,
             forecast[0] - max_deviation, rho / N_e, capacity)
+
+
+def metrics_csv_writer(result):
+    """The CSV body of one run's metrics table as csv.writer wrote it from
+    per-tick row tuples, before the report rendered the lines itself."""
+    regret = result.regret_series
+    realloc = np.zeros(result.n_ticks, dtype=np.int64)
+    realloc[list(result.reallocation_ticks)] = 1
+    rows = zip(range(result.n_ticks), itertools.repeat(result.policy.value),
+               result.residual_inf_series.tolist(),
+               regret.mean(axis=1).tolist(),
+               np.abs(regret).max(axis=1).tolist(),
+               np.cumsum(realloc).tolist())
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()

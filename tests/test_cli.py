@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 import twinalloc
+from tests.oracles import metrics_csv_writer
 from twinalloc.cli import main
 from twinalloc.core import ScenarioConfig
-from twinalloc.engine import run_scenario, save_scenario
+from twinalloc.engine import compare_policies, run_scenario, save_scenario
 from twinalloc.manager import PolicyKind
-from twinalloc.report import (CSV_HEADER, config_digest, metrics_rows,
-                              render_metrics_csv)
+from twinalloc.report import CSV_HEADER, config_digest, metrics_csv
 
 TOKENS = [k.value for k in PolicyKind]
 
@@ -63,14 +63,24 @@ def test_simulate_writes_expected_files(cli_env, tmp_path, capsys):
 
     # the file must be exactly what an in-process rerun renders
     result = run_scenario(config, PolicyKind.ONLINE_DYNAMIC, 1)
-    assert ((out / "metrics.csv").read_text()
-            == render_metrics_csv(metrics_rows(result)))
+    assert ((out / "metrics.csv").read_bytes()
+            == (",".join(CSV_HEADER) + "\n" + metrics_csv(result)).encode())
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 1
     assert manifest["config_digest"] == config_digest(config)
     assert manifest["command"].startswith("twinalloc simulate")
     assert set(manifest["summary"]) == {"online"}
+
+
+@pytest.mark.parametrize("token", TOKENS)
+def test_simulate_csv_equals_compare_table(cli_env, tmp_path, token):
+    _, scenario, out = cli_env
+    run = tmp_path / token
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--policy", token, "--out", str(run)]) == 0
+    assert ((run / "metrics.csv").read_bytes()
+            == (out / f"metrics_{token}.csv").read_bytes())
 
 
 def test_simulate_seed_flag(cli_env, tmp_path):
@@ -190,10 +200,14 @@ def test_missing_scenario_exits_io_without_outputs(tmp_path, capsys):
     '{"requirement_step_bound": 9223372036854775808}',
     '{"initial_requirement_range": [2, 9223372036854775808], '
     '"requirement_range": [1, 9223372036854775808]}',
+    pytest.param('{"x\udcff": 1}', id="not-utf8"),
+    pytest.param("[" * 100000, id="nested-too-deep"),
+    pytest.param('{"n_ticks": ' + "1" * 5000 + "}", id="int-too-long"),
 ])
 def test_invalid_scenario_exits_config(tmp_path, capsys, payload):
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(payload)
+    # surrogateescape writes the lone surrogate \udcff as the byte 0xff
+    scenario.write_bytes(payload.encode("utf-8", "surrogateescape"))
     out = tmp_path / "out"
     code = main(["compare", "--scenario", str(scenario), "--out", str(out)])
     assert code == 1
@@ -402,12 +416,22 @@ def test_usage_error_exit_code_from_the_command_line(tmp_path):
 
 # ------------------------------------------------------------ report helpers
 
-def test_render_metrics_csv_single_equals_list(cli_env):
+def test_metrics_csv_one_line_per_tick(cli_env):
     config, _, _ = cli_env
     result = run_scenario(config, PolicyKind.EQUAL, 1)
-    rows = metrics_rows(result)
-    assert rows[0][0] == 0
-    assert all(row[1] == "equal" for row in rows)
+    lines = metrics_csv(result).split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == config.n_ticks
+    for t, line in enumerate(lines):
+        assert line.startswith(f"{t},equal,")
+        assert len(line.split(",")) == len(CSV_HEADER)
+
+
+def test_metrics_csv_matches_csv_writer():
+    # compare-long's first instance: n=20, T=1000, the budget binding
+    config = ScenarioConfig(n_ticks=1000, master_seed=1731038949)
+    for result in compare_policies(config, config.master_seed).values():
+        assert metrics_csv(result) == metrics_csv_writer(result)
 
 
 def test_config_digest_tracks_content():
