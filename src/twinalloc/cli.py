@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 invalid scenario/config or command line, 2 I/O
 failure, 3 solver failure. The scenario file is read and validated before
-any output path is touched, so failed invocations leave no partial files.
+any output path is touched, and publish lands a command's files together,
+so failed invocations leave no partial files but in the windows it names.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -68,10 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_string(argv) -> str:
-    return " ".join(["twinalloc"] + list(argv))
-
-
 def _has_solver_cause(exc: BaseException | None) -> bool:
     while exc is not None:
         if isinstance(exc, SolverError):
@@ -80,20 +78,53 @@ def _has_solver_cause(exc: BaseException | None) -> bool:
     return False
 
 
-def cmd_simulate(args, argv) -> int:
+@contextlib.contextmanager
+def publish(out_dir):
+    """Yield stage(name), the staging path of output name; stage.outputs maps
+    its manifest key to its final path. Once every target is checked, files
+    are renamed into place in staging order; only a rename failing after
+    others, or a killed process (leaving .twinalloc-<pid>), splits them."""
+    made, head = [], os.path.abspath(out_dir)
+    while not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    staging = os.path.join(out_dir, f".twinalloc-{os.getpid()}")
+
+    def stage(name):
+        stage.outputs[name.replace(".", "_")] = os.path.join(out_dir, name)
+        return os.path.join(staging, name)
+    stage.outputs = {}
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        os.mkdir(staging)
+        yield stage
+        for target in stage.outputs.values():
+            if os.path.exists(target) and not os.path.isfile(target):
+                raise IsADirectoryError(f"{target} is not a regular file")
+        for target in stage.outputs.values():
+            os.replace(os.path.join(staging, os.path.basename(target)),
+                       target)
+        made.clear()
+    finally:  # staged files always go, made directories on a failure
+        for target in stage.outputs.values():
+            with contextlib.suppress(OSError):
+                os.unlink(os.path.join(staging, os.path.basename(target)))
+        for path in [staging] + made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+
+
+def cmd_simulate(args, command: str) -> int:
     config = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else config.master_seed
     policy = PolicyKind(args.policy)
     result = run_scenario(config, policy, seed)
 
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "metrics.csv")
-    manifest_path = os.path.join(args.out, "manifest.json")
-    write_metrics_csv(csv_path, metrics_csv(result))
-    manifest = build_manifest(_command_string(argv), config, seed,
-                              outputs={"metrics_csv": csv_path},
-                              results={policy: result})
-    write_manifest(manifest_path, manifest)
+    with publish(args.out) as stage:
+        write_metrics_csv(stage("metrics.csv"), metrics_csv(result))
+        manifest = build_manifest(command, config, seed, dict(stage.outputs),
+                                  {policy: result})
+        write_manifest(stage("manifest.json"), manifest)
     print(f"{policy.value}: mean residual after prefix "
           f"{result.mean_residual_after_prefix:.6f}, "
           f"{len(result.reallocation_ticks)} reallocations "
@@ -101,36 +132,23 @@ def cmd_simulate(args, argv) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args, argv) -> int:
+def cmd_compare(args, command: str) -> int:
     config = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else config.master_seed
     results = compare_policies(config, seed)
-
-    os.makedirs(args.out, exist_ok=True)
-    outputs = {}
-    # each policy's table is rendered once, for its own file and the joint one
-    bodies = [metrics_csv(results[kind]) for kind in PolicyKind]
-    for kind, body in zip(PolicyKind, bodies):
-        path = os.path.join(args.out, f"metrics_{kind.value}.csv")
-        write_metrics_csv(path, body)
-        outputs[f"metrics_{kind.value}_csv"] = path
-
-    combined_path = os.path.join(args.out, "comparison.csv")
-    write_metrics_csv(combined_path, "".join(bodies))
-    outputs["comparison_csv"] = combined_path
-
-    svg_path = os.path.join(args.out, "comparison.svg")
-    write_text(svg_path, render_comparison_svg(results, config))
-    outputs["comparison_svg"] = svg_path
-
     summary = summarize(results)
-    summary_path = os.path.join(args.out, "summary.txt")
-    write_text(summary_path, summary)
-    outputs["summary_txt"] = summary_path
-
-    manifest = build_manifest(_command_string(argv), config, seed,
-                              outputs=outputs, results=results)
-    write_manifest(os.path.join(args.out, "manifest.json"), manifest)
+    with publish(args.out) as stage:
+        # each table is rendered once, for its own file and the joint one
+        bodies = [metrics_csv(results[kind]) for kind in PolicyKind]
+        for kind, body in zip(PolicyKind, bodies):
+            write_metrics_csv(stage(f"metrics_{kind.value}.csv"), body)
+        write_metrics_csv(stage("comparison.csv"), "".join(bodies))
+        write_text(stage("comparison.svg"),
+                   render_comparison_svg(results, config))
+        write_text(stage("summary.txt"), summary)
+        manifest = build_manifest(command, config, seed, dict(stage.outputs),
+                                  results)
+        write_manifest(stage("manifest.json"), manifest)
     print(summary, end="")
     return EXIT_OK
 
@@ -139,10 +157,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = " ".join(["twinalloc", *argv])
     try:
         if args.command == "simulate":
-            return cmd_simulate(args, argv)
-        return cmd_compare(args, argv)
+            return cmd_simulate(args, command)
+        return cmd_compare(args, command)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

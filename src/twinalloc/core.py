@@ -176,8 +176,9 @@ class ScenarioConfig:
             diags.append("stationary_prefix must be >= 0")
         if self.stationary_prefix > self.n_ticks:
             diags.append("stationary_prefix must be <= n_ticks")
-        if self.capacity_b is not None and not self.capacity_b > 0:
-            diags.append("capacity_b must be positive when given")
+        if self.capacity_b is not None and not 0 < self.capacity_b <= 1e300:
+            # a larger equal split can sum its residuals past the float range
+            diags.append("capacity_b must lie in (0, 1e300] when given")
         if self.requirement_step_bound < 0:
             diags.append("requirement_step_bound must be >= 0")
         r_lo, r_hi = self.requirement_range

@@ -3,8 +3,10 @@
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +243,29 @@ def test_tiny_positive_capacity_runs(tmp_path, capsys, capacity):
     assert (out / "summary.txt").exists()
 
 
+def test_capacity_above_1e300_exits_config_and_1e300_runs(tmp_path, capsys):
+    # an equal split of 1.8e308 to one twin summed its residuals past the
+    # float range: the mean was inf and the manifest failed to serialize,
+    # exit 3 after the run
+    scenario = tmp_path / "scenario.json"
+    out = tmp_path / "out"
+    scenario.write_text('{"capacity_b": 1.7976931348623157e308, '
+                        '"n_resources": 1, "n_ticks": 4}')
+    code = main(["compare", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert ("error: capacity_b must lie in (0, 1e300] when given"
+            in capsys.readouterr().err)
+    scenario.write_text('{"capacity_b": 1e300, "n_resources": 1, '
+                        '"n_ticks": 1000, "stationary_prefix": 0}')
+    code = main(["compare", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["summary"]["equal"]["mean_residual_after_prefix"]
+            == pytest.approx(1e300))
+
+
 def test_failed_certificate_exits_solver_naming_the_tick(tmp_path, capsys,
                                                          monkeypatch):
     # a negative slack fails every binding solve's certificate; the static
@@ -412,6 +437,136 @@ def test_usage_error_exit_code_from_the_command_line(tmp_path):
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert "invalid choice: 'greedy'" in proc.stderr
+
+
+# ---------------------------------------------------------------- publishing
+
+COMPARE_FILES = (*(f"metrics_{tok}.csv" for tok in TOKENS), "comparison.csv",
+                 "comparison.svg", "summary.txt", "manifest.json")
+COMMANDS = {"compare": (["compare"], COMPARE_FILES),
+            "simulate": (["simulate", "--policy", "event"],
+                         ("metrics.csv", "manifest.json"))}
+
+
+def tree(root):
+    """Every path under root, mapped to its bytes, or None for a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_manifest_outputs_name_every_file_but_itself(cli_env, tmp_path,
+                                                     capsys, command):
+    _, scenario, _ = cli_env
+    argv, files = COMMANDS[command]
+    out = str(tmp_path / "out")
+    assert main([*argv, "--scenario", str(scenario), "--out", out]) == 0
+    capsys.readouterr()
+    manifest = json.loads(Path(out, "manifest.json").read_text())
+    assert manifest["outputs"] == {name.replace(".", "_"): os.path.join(
+        out, name) for name in files if name != "manifest.json"}
+    # exactly the promised files: no staging directory is left behind
+    assert sorted(os.listdir(out)) == sorted(files)
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command, (_, files) in COMMANDS.items()
+    for name in files])
+def test_blocked_output_leaves_out_as_it_was(cli_env, tmp_path, capsys,
+                                             command, name):
+    # a directory where one output goes fails the command before any file
+    # moves: an earlier run's files keep their bytes under another seed
+    _, scenario, _ = cli_env
+    out = tmp_path / "out"
+    argv = [*COMMANDS[command][0], "--scenario", str(scenario),
+            "--out", str(out)]
+    assert main(argv) == 0
+    (out / name).unlink()
+    (out / name / "kept").mkdir(parents=True)
+    before = tree(out)
+    assert main([*argv, "--seed", "2"]) == 2
+    assert tree(out) == before
+    assert f"error: {out / name} is not a regular file" in (
+        capsys.readouterr().err)
+
+
+def test_failed_rename_leaves_the_files_moved_before_it(cli_env, tmp_path,
+                                                        capsys, monkeypatch):
+    # the window that remains: the renames are not atomic as a set
+    _, scenario, ref = cli_env
+    replace, calls = os.replace, []
+
+    def fail_third(src, dst):
+        calls.append(dst)
+        if len(calls) == 3:
+            raise OSError("injected rename failure")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_third)
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", str(scenario),
+                 "--out", str(out)]) == 2
+    assert "error: injected rename failure" in capsys.readouterr().err
+    moved = COMPARE_FILES[:2]
+    assert sorted(os.listdir(out)) == sorted(moved)
+    for name in moved:
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+def test_failed_write_removes_the_directories_it_made(cli_env, tmp_path,
+                                                     capsys, monkeypatch):
+    # --out and its missing parent were made by this call, so both go; the
+    # existing grandparent stays
+    _, scenario, _ = cli_env
+
+    def fail(path, manifest):
+        raise OSError("injected write failure")
+
+    monkeypatch.setattr("twinalloc.cli.write_manifest", fail)
+    out = tmp_path / "made" / "out"
+    assert main(["compare", "--scenario", str(scenario),
+                 "--out", str(out)]) == 2
+    assert "error: injected write failure" in capsys.readouterr().err
+    assert not (tmp_path / "made").exists() and tmp_path.is_dir()
+
+
+FUZZ_KEYS = sorted(f.name for f in fields(ScenarioConfig)) + ["frobnicate"]
+FUZZ_NUMBERS = [0, -1, 1, 2, 0.5, 2 ** 62, 2 ** 63 - 46, 2 ** 63, 2 ** 64 - 1,
+                2 ** 64, -2 ** 63, 1e300, -1e300, 5e-324, 1e-300, 1e200,
+                1.7976931348623157e308]
+FUZZ_PAIRS = [[1, 1], [45, 1], [0, 45], [2, 38], [1, 2 ** 62], [1, 2 ** 63]]
+FUZZ_JUNK = [float("nan"), float("inf"), True, None, "7", [], {}]
+
+
+def fuzz_document(rng):
+    """A small valid scenario with one key, or two, set to an extreme."""
+    doc = {"n_resources": rng.randint(1, 50), "n_ticks": rng.randint(1, 30)}
+    doc["stationary_prefix"] = rng.randint(0, doc["n_ticks"])
+    for key in rng.sample(FUZZ_KEYS, rng.choice((1, 1, 2))):
+        pool = FUZZ_PAIRS if key.endswith("range") else FUZZ_NUMBERS
+        doc[key] = rng.choice(pool + FUZZ_JUNK if rng.random() < 0.1 else pool)
+    return doc
+
+
+def test_fuzzed_scenarios_publish_all_files_or_none(tmp_path, capsys):
+    # exit 1 must leave no --out and exit 0 every promised file; any other
+    # exit code is a fault
+    rng = random.Random(0)
+    passed = 0
+    for i in range(500):
+        doc = fuzz_document(rng)
+        scenario, out = tmp_path / f"s{i}.json", tmp_path / f"out{i}"
+        scenario.write_text(json.dumps(doc))
+        code = main(["compare", "--scenario", str(scenario),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (doc, err)
+        if code == 0:
+            passed += 1
+            assert sorted(os.listdir(out)) == sorted(COMPARE_FILES), doc
+        else:
+            assert not out.exists(), doc
+    assert passed >= 100
 
 
 # ------------------------------------------------------------ report helpers
