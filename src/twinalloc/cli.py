@@ -83,12 +83,13 @@ def publish(out_dir):
     """Yield stage(name), the staging path of output name; stage.outputs maps
     its manifest key to its final path. Once every target is checked, files
     are renamed into place in staging order; only a rename failing after
-    others, or a killed process (leaving .twinalloc-<pid>), splits them."""
+    others, or a killed process (leaving .twinalloc-<pid>-<hex>), splits."""
     made, head = [], os.path.abspath(out_dir)
     while not os.path.lexists(head):
         made.append(head)
         head = os.path.dirname(head)
-    staging = os.path.join(out_dir, f".twinalloc-{os.getpid()}")
+    staging = os.path.join(
+        out_dir, f".twinalloc-{os.getpid()}-{os.urandom(4).hex()}")
 
     def stage(name):
         stage.outputs[name.replace(".", "_")] = os.path.join(out_dir, name)

@@ -3,20 +3,21 @@
 The plant-floor requirement walk and the twins' setpoint walks are drawn
 for the whole run up front. The reports k', their floors and the setpoints
 are checked once, before tick 0; every twin's regret and budget are
-arrays. Only the step, every twin over a block of ticks, depends on the
-width: from BANK_MIN_RESOURCES twins one array bank (twin.step_bank) moves
-the actions, its only state; a narrower run walks the block's rows through
-one DigitalTwin per resource (assign_task, then step_control). Both give
-the same bits. A run takes one of two loops. Equal, static and online
-never read regret, so theirs is open loop: the whole grant schedule comes
-first, each row checked before the next is solved; the twins then step
-over it in row blocks, a failure named at its block's first tick, and
-regret is one cumulative sum. Event is the one closed loop: it holds one
-checked grant row, re-solves when the regret trigger fires, and steps a
-one-row block per tick. The residual series is computed once, after the
-last tick. All randomness comes from named substreams of one master seed,
-so the walks are identical across policies and independent of execution
-order. Substream (seed, domain, i) is numpy's
+arrays. Only step(block), every twin over a row block of the grant
+schedule, depends on the width: from BANK_MIN_RESOURCES twins one array
+bank (twin.step_bank) moves the actions, its only state; a narrower run
+walks the block's rows through one DigitalTwin per resource (assign_task,
+then step_control). Both give the same bits. A run takes one of two loops.
+Equal, static and online never read regret, so theirs is open loop: the
+whole grant schedule comes first, each row checked before the next is
+solved; the twins then step over it in row blocks, a failure named at its
+block's first tick, and regret is one cumulative sum. Event is the one
+closed loop: it holds one checked grant row, re-solves when the regret
+trigger fires, and writes the row into the schedule before stepping it.
+The residual series is computed once, after the last tick. All randomness
+comes from named substreams of one master seed, so the walks are identical
+across policies and independent of execution order.
+Substream (seed, domain, i) is numpy's
 Generator(PCG64(SeedSequence((seed, domain, i)))); the engine draws all
 of a walk's substreams at once in its own vectorised pass of the same hash
 and generator, bit for bit, at one 128-bit multiply per output.
@@ -50,10 +51,10 @@ _DOMAIN_SCENARIO = 2
 # Runs with at least this many twins step them as one array bank
 # (twin.step_bank); narrower runs loop over DigitalTwin objects. It is no
 # longer a speed crossover: at 20 twins and 1000 ticks the bank wins on
-# equal, static and online and ties on event (event's one-row bank step
-# loses only below about ten twins). It stays 40 because the benchmark's
-# count test pins one assign_task and one step_control call per twin-tick
-# at 20 twins, until the bank steps every width.
+# equal, static and online, and on event, one row per tick, it is up to
+# about 10 % slower. It stays 40 because the benchmark's count test pins
+# one assign_task and one step_control call per twin-tick at 20 twins,
+# until the bank steps every width.
 BANK_MIN_RESOURCES = 40
 
 
@@ -321,15 +322,17 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
     if n >= BANK_MIN_RESOURCES:  # step: the run's one width-dependent piece
         actions = np.full(n, START_ACTION)
 
-        def step(block, grants):  # a row block's (rows, n) increments
-            return step_bank(actions, targets[block], k_prime[block], grants)
+        def step(block):  # a row block's (rows, n) increments
+            return step_bank(actions, targets[block], k_prime[block],
+                             allocation_series[block])
     else:
         twins = [DigitalTwin() for _ in range(n)]
 
-        def step(block, grants):  # the block's rows, tick by tick
+        def step(block):  # the block's rows, tick by tick
             increments = []
             for reqs, cs, row in zip(requirement_series[block].tolist(),
-                                     targets[block].tolist(), grants.tolist()):
+                                     targets[block].tolist(),
+                                     allocation_series[block].tolist()):
                 for twin, req, target in zip(twins, reqs, cs):
                     twin.assign_task(req, target)
                 increments.append([step_control(twin, grant)
@@ -349,9 +352,9 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
                         k_prime[t], k_lower[t], constraints, horizon))
                     realloc_ticks.append(t)
                     regret[:] = 0.0
-                regret_series[t] = update_regret(
-                    regret, step(slice(t, t + 1), grants[None])[0])
                 allocation_series[t] = grants
+                regret_series[t] = update_regret(regret,
+                                                 step(slice(t, t + 1))[0])
         else:
             # open loop: no grant reads regret, so the whole schedule comes
             # first, each row checked before the next is solved; then the
@@ -368,7 +371,7 @@ def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
             rows = max(1, _BLOCK // n)
             for t in range(0, n_ticks, rows):
                 block = slice(t, t + rows)
-                regret_series[block] = step(block, allocation_series[block])
+                regret_series[block] = step(block)
             np.cumsum(regret_series, axis=0, out=regret_series)
     except Exception as exc:
         raise SimulationError(t, str(exc)) from exc

@@ -117,12 +117,11 @@ def render_comparison_svg(results: dict[PolicyKind, SimResult],
                  f'{top + plot_h / 2:.0f})">residual (inf norm)</text>')
 
     # series and their post-prefix means; sx and sy as array ops
-    xs = (left + plot_w * (np.arange(n_ticks) / max(n_ticks - 1, 1))).tolist()
+    xs = sx(np.arange(n_ticks)).tolist()
     for kind in PolicyKind:
         result = results[kind]
         color = _POLICY_COLORS[kind]
-        ys = (top + plot_h * (1.0 - result.residual_inf_series / y_max)
-              ).tolist()
+        ys = sy(result.residual_inf_series).tolist()
         path = " ".join(f"{'L' if i else 'M'}{x:.2f},{y:.2f}"
                         for i, (x, y) in enumerate(zip(xs, ys)))
         parts.append(f'<path class="series" d="{path}" '

@@ -163,36 +163,23 @@ def _q_power(k: np.ndarray) -> np.ndarray:
 
 def step_bank(actions: np.ndarray, targets, k_prime, granted) -> np.ndarray:
     """step_control for a whole population of twins over a block of ticks:
-    row t of targets, k_prime and granted is tick t. The grants and k'
-    broadcast to the targets' block, so one row serves every tick; any
-    other row count raises ValueError before an action moves. Moves the
+    row t of targets, k_prime and granted, all of one shape, is tick t;
+    any other shape raises ValueError before an action moves. Moves the
     actions (the population's only state) in place past the last row and
     returns the (ticks, n) regret increments.
 
     The caller checks the grants (check_grants), and once per run that the
     setpoints lie in the box and every k' >= 1. Only the actions step tick
     by tick, x = clip(c + q^g (x - c)); the requested runs and the
-    increments are then whole-block array operations. A one-row block, as
-    event steps each tick, skips the block's buffer and loop, whose fixed
-    cost exceeds its row operations. Each element takes step_control's
-    operations in its order, with the same powers of q and np.float_power
-    for the squares, so actions and increments equal step_control's bit
-    for bit.
+    increments are then whole-block array operations. Each element takes
+    step_control's operations in its order, with the same powers of q and
+    np.float_power for the squares, so actions and increments equal
+    step_control's bit for bit.
     """
+    if not granted.shape == k_prime.shape == targets.shape:
+        raise ValueError("targets, k_prime and granted must be one shape")
     lo, hi = DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH
     q_granted = _q_power(np.maximum(np.floor(granted + _FLOOR_GUARD), 1.0))
-    if len(targets) == 1:
-        x = actions[None]   # the actions as a one-row block, moved in place
-        d0 = x - targets
-        x_requested = np.minimum(np.maximum(
-            targets + _q_power(k_prime) * d0, lo), hi)
-        if x_requested.shape != x.shape:  # a k' block of several rows
-            raise ValueError("k_prime must broadcast to the targets' block")
-        np.minimum(np.maximum(targets + q_granted * d0, lo), hi, out=x)
-        return (_HALF_KAPPA * np.float_power(x - targets, 2)
-                - _HALF_KAPPA * np.float_power(x_requested - targets, 2))
-    q_granted = np.broadcast_to(q_granted, targets.shape)
-    q_requested = np.broadcast_to(_q_power(k_prime), targets.shape)
     # each tick's x - c from its start, then the granted and requested ends
     ends = np.empty((3, *targets.shape))
     d0, runs = ends[0], ends[1:]
@@ -204,7 +191,7 @@ def step_bank(actions: np.ndarray, targets, k_prime, granted) -> np.ndarray:
         np.maximum(row, lo, out=row)
         x = np.minimum(row, hi, out=row)
     actions[:] = x
-    requested = np.multiply(q_requested, d0, out=runs[1])
+    requested = np.multiply(_q_power(k_prime), d0, out=runs[1])
     requested += targets
     np.maximum(requested, lo, out=requested)
     np.minimum(requested, hi, out=requested)

@@ -530,6 +530,29 @@ def test_failed_write_removes_the_directories_it_made(cli_env, tmp_path,
     assert not (tmp_path / "made").exists() and tmp_path.is_dir()
 
 
+@pytest.mark.parametrize("held", [False, True], ids=["empty", "holding-file"])
+def test_stale_staging_directory_of_the_same_pid_is_left_alone(
+        cli_env, tmp_path, capsys, monkeypatch, held):
+    # a killed run under a pid that comes round again left its staging
+    # directory: the new run still publishes every file and neither uses
+    # nor removes the stale one
+    _, scenario, ref = cli_env
+    monkeypatch.setattr(os, "getpid", lambda: 4242)
+    out = tmp_path / "out"
+    stale = out / ".twinalloc-4242"
+    stale.mkdir(parents=True)
+    if held:
+        (stale / "comparison.csv").write_text("left by a killed run\n")
+    before = tree(stale)
+    assert main(["compare", "--scenario", str(scenario),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(out)) == sorted([*COMPARE_FILES, stale.name])
+    for name in COMPARE_FILES[:-1]:
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+    assert stale.is_dir() and tree(stale) == before
+
+
 FUZZ_KEYS = sorted(f.name for f in fields(ScenarioConfig)) + ["frobnicate"]
 FUZZ_NUMBERS = [0, -1, 1, 2, 0.5, 2 ** 62, 2 ** 63 - 46, 2 ** 63, 2 ** 64 - 1,
                 2 ** 64, -2 ** 63, 1e300, -1e300, 5e-324, 1e-300, 1e200,

@@ -221,7 +221,7 @@ def test_increment_equals_pair_form_bit_for_bit():
     x0, c, k_prime, grant, out, action = np.array(cases).T
     # the same cases as the first row of a two-row block
     block = step_bank(x0.copy(), np.stack([c, c]), np.stack([k_prime] * 2),
-                      grant)
+                      np.stack([grant] * 2))
     assert np.array_equal(block[0], out)
     increments = step_bank(x0, c[None], k_prime[None], grant[None])
     assert increments.shape == (1, len(cases))
@@ -245,19 +245,18 @@ def test_block_equals_one_row_calls_bit_for_bit(one_row_grant):
     targets[::7, ::5] = LO
     targets[3::7, 1::5] = HI
     if one_row_grant:   # equal and static hold one row for every tick
-        granted = rng.choice([0.0, 0.5, 12.0, 399.0, 401.0, 1e15, 1e300], n)
-        grant_rows = np.broadcast_to(granted, (T, n))
+        grant_rows = np.broadcast_to(rng.choice(
+            [0.0, 0.5, 12.0, 399.0, 401.0, 1e15, 1e300], n), (T, n))
     else:
         choice = rng.integers(0, 8, (T, n))
-        granted = np.choose(choice, [
+        grant_rows = np.choose(choice, [
             np.zeros((T, n)), np.full((T, n), 0.5), k_prime - 1, k_prime,
             k_prime + 1, np.full((T, n), 1e15), np.full((T, n), 1e300),
             rng.uniform(0, 450, (T, n))])
-        grant_rows = granted
     start = rng.uniform(LO, HI, n)
 
     block_actions = start.copy()
-    increments = step_bank(block_actions, targets, k_prime, granted)
+    increments = step_bank(block_actions, targets, k_prime, grant_rows)
     assert increments.shape == (T, n)
     regret = np.cumsum(increments, axis=0)
 
@@ -282,39 +281,24 @@ def test_block_equals_one_row_calls_bit_for_bit(one_row_grant):
     assert (increments == 0.0).any() and (increments != 0.0).any()
 
 
-@pytest.mark.parametrize("rows", [3, 8])
+@pytest.mark.parametrize("rows", [1, 3, 8])
 @pytest.mark.parametrize("field", ["granted", "k_prime"])
 def test_block_rejects_a_mismatched_block(field, rows):
     # a grant or k' block whose rows are not the targets' raises, and moves
-    # no action: one row broadcasts to every tick, any other count is wrong
+    # no action: against one target row (event's step) or six, every other
+    # row count is wrong, one row included
     rng = np.random.default_rng(2020)
-    T, n = 6, 50
-    args = {"targets": rng.uniform(LO, HI, (T, n)),
-            "k_prime": rng.integers(1, 50, (T, n)).astype(float),
-            "granted": rng.uniform(0, 50, (T, n))}
-    args[field] = args[field][:1].repeat(rows, axis=0)
-    actions = rng.uniform(LO, HI, n)
-    start = actions.copy()
-    with pytest.raises(ValueError):
-        step_bank(actions, **args)
-    assert np.array_equal(actions, start)
-
-
-@pytest.mark.parametrize("field", ["granted", "k_prime"])
-def test_one_row_block_rejects_a_mismatched_block(field):
-    # event's one-row step checks its grant and k' blocks too: three rows
-    # for one tick raise, and move no action
-    rng = np.random.default_rng(2022)
-    n = 5
-    args = {"targets": rng.uniform(LO, HI, (1, n)),
-            "k_prime": rng.integers(1, 50, (1, n)).astype(float),
-            "granted": rng.uniform(0, 50, (1, n))}
-    args[field] = args[field].repeat(3, axis=0)
-    actions = rng.uniform(LO, HI, n)
-    start = actions.copy()
-    with pytest.raises(ValueError):
-        step_bank(actions, **args)
-    assert np.array_equal(actions, start)
+    n = 50
+    for T in sorted({1, 6} - {rows}):
+        args = {"targets": rng.uniform(LO, HI, (T, n)),
+                "k_prime": rng.integers(1, 50, (T, n)).astype(float),
+                "granted": rng.uniform(0, 50, (T, n))}
+        args[field] = args[field][:1].repeat(rows, axis=0)
+        actions = rng.uniform(LO, HI, n)
+        start = actions.copy()
+        with pytest.raises(ValueError):
+            step_bank(actions, **args)
+        assert np.array_equal(actions, start)
 
 
 def test_power_table_is_q_to_the_k():
