@@ -285,20 +285,36 @@ def test_block_equals_one_row_calls_bit_for_bit(one_row_grant):
 @pytest.mark.parametrize("field", ["granted", "k_prime"])
 def test_block_rejects_a_mismatched_block(field, rows):
     # a grant or k' block whose rows are not the targets' raises, and moves
-    # no action: against one target row (event's step) or six, every other
-    # row count is wrong, one row included
+    # no action: against six target rows every other row count is wrong,
+    # one row included, since no block broadcasts
     rng = np.random.default_rng(2020)
-    n = 50
-    for T in sorted({1, 6} - {rows}):
-        args = {"targets": rng.uniform(LO, HI, (T, n)),
-                "k_prime": rng.integers(1, 50, (T, n)).astype(float),
-                "granted": rng.uniform(0, 50, (T, n))}
-        args[field] = args[field][:1].repeat(rows, axis=0)
-        actions = rng.uniform(LO, HI, n)
-        start = actions.copy()
-        with pytest.raises(ValueError):
-            step_bank(actions, **args)
-        assert np.array_equal(actions, start)
+    T, n = 6, 50
+    args = {"targets": rng.uniform(LO, HI, (T, n)),
+            "k_prime": rng.integers(1, 50, (T, n)).astype(float),
+            "granted": rng.uniform(0, 50, (T, n))}
+    args[field] = args[field][:1].repeat(rows, axis=0)
+    actions = rng.uniform(LO, HI, n)
+    start = actions.copy()
+    with pytest.raises(ValueError):
+        step_bank(actions, **args)
+    assert np.array_equal(actions, start)
+
+
+@pytest.mark.parametrize("field", ["granted", "k_prime"])
+def test_one_row_block_rejects_a_mismatched_block(field):
+    # event's one-row step checks its grant and k' blocks too: three rows
+    # for one tick raise, and move no action
+    rng = np.random.default_rng(2022)
+    n = 5
+    args = {"targets": rng.uniform(LO, HI, (1, n)),
+            "k_prime": rng.integers(1, 50, (1, n)).astype(float),
+            "granted": rng.uniform(0, 50, (1, n))}
+    args[field] = args[field].repeat(3, axis=0)
+    actions = rng.uniform(LO, HI, n)
+    start = actions.copy()
+    with pytest.raises(ValueError):
+        step_bank(actions, **args)
+    assert np.array_equal(actions, start)
 
 
 def test_power_table_is_q_to_the_k():
