@@ -1,9 +1,10 @@
 """Command-line front end: single-policy runs and the four-way comparison.
 
-Exit codes: 0 success, 1 invalid scenario/config or command line, 2 I/O
-failure, 3 solver failure. The scenario file is read and validated before
-any output path is touched, and publish lands a command's files together,
-so failed invocations leave no partial files but in the windows it names.
+Exit codes follow the exception type alone: 0 success, 1 invalid scenario
+or command line, 2 I/O failure (OSError), 3 the run stopped at a named tick
+(SimulationError); anything else is a bug and raises with its traceback.
+The scenario is validated before any output path is touched, and publish
+lands a command's files together or not at all, but in the windows it names.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from .engine import (SimulationError, compare_policies, load_scenario,
 from .manager import PolicyKind
 from .report import (build_manifest, metrics_csv, render_comparison_svg,
                      summarize, write_manifest, write_metrics_csv)
-from .solver import SolverError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
-EXIT_SOLVER = 3
+EXIT_RUN = 3
 
 
 def _seed_value(text: str) -> int:
@@ -68,14 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--workers", type=int, choices=[1], default=1,
                       help=argparse.SUPPRESS)
     return parser
-
-
-def _has_solver_cause(exc: BaseException | None) -> bool:
-    while exc is not None:
-        if isinstance(exc, SolverError):
-            return True
-        exc = exc.__cause__
-    return False
 
 
 @contextlib.contextmanager
@@ -170,14 +162,9 @@ def main(argv=None) -> int:
         for diag in exc.diagnostics:
             print(f"error: {diag}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, SimulationError) as exc:
+    except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, SolverError) or _has_solver_cause(exc.__cause__):
-            return EXIT_SOLVER
-        return EXIT_CONFIG
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return EXIT_RUN
 
 
 if __name__ == "__main__":

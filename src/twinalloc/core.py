@@ -197,8 +197,10 @@ class ScenarioConfig:
                 "initial_requirement_range must lie inside requirement_range")
         if self.gap < 0:
             diags.append("gap must be >= 0")
-        if self.epsilon_per_step is not None and not self.epsilon_per_step > 0:
-            diags.append("epsilon_per_step must be positive when given")
+        eps = self.epsilon_per_step
+        if eps is not None and not 0 < eps <= 1e300:
+            # the trigger's regret bound eps * (T + 1) must stay finite
+            diags.append("epsilon_per_step must lie in (0, 1e300] when given")
         if self.rho < 0:
             diags.append("rho must be >= 0")
         elif abs(r_hi) < 2 ** 63 and not math.isfinite(

@@ -266,6 +266,28 @@ def test_capacity_above_1e300_exits_config_and_1e300_runs(tmp_path, capsys):
             == pytest.approx(1e300))
 
 
+def test_epsilon_above_1e300_exits_config_and_1e300_runs(tmp_path, capsys):
+    # the trigger compares regret with epsilon * (T + 1), T + 1 up to the
+    # period cap of 24: a budget near the float maximum overflowed there
+    # from tick 2 on, with only a numpy warning
+    scenario = tmp_path / "scenario.json"
+    out = tmp_path / "out"
+    doc = {"n_resources": 6, "n_ticks": 18, "stationary_prefix": 14}
+    for epsilon in (1.7976931348623157e308, 1e301):
+        scenario.write_text(json.dumps({**doc, "epsilon_per_step": epsilon}))
+        code = main(["compare", "--scenario", str(scenario),
+                     "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert ("error: epsilon_per_step must lie in (0, 1e300] when given"
+                in capsys.readouterr().err)
+    # 1e300 runs without a warning, which the suite turns into an error
+    scenario.write_text(json.dumps({**doc, "epsilon_per_step": 1e300}))
+    code = main(["compare", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 0
+    capsys.readouterr()
+
+
 def test_failed_certificate_exits_solver_naming_the_tick(tmp_path, capsys,
                                                          monkeypatch):
     # a negative slack fails every binding solve's certificate; the static
@@ -528,6 +550,27 @@ def test_failed_write_removes_the_directories_it_made(cli_env, tmp_path,
                  "--out", str(out)]) == 2
     assert "error: injected write failure" in capsys.readouterr().err
     assert not (tmp_path / "made").exists() and tmp_path.is_dir()
+
+
+def test_unexpected_fault_raises_and_leaves_out_as_it_was(cli_env, tmp_path,
+                                                         capsys, monkeypatch):
+    # a fault that is no scenario, I/O or run failure is a bug: main lets it
+    # raise with its traceback, and an earlier run's files keep their bytes
+    _, scenario, _ = cli_env
+    out = tmp_path / "out"
+    argv = ["compare", "--scenario", str(scenario), "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    before = tree(out)
+
+    def fail(results, config):
+        raise RuntimeError("injected rendering fault")
+
+    monkeypatch.setattr("twinalloc.cli.render_comparison_svg", fail)
+    with pytest.raises(RuntimeError, match="injected rendering fault"):
+        main([*argv, "--seed", "2"])
+    assert tree(out) == before
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("held", [False, True], ids=["empty", "holding-file"])

@@ -599,7 +599,7 @@ def test_failures_carry_the_tick(monkeypatch, tmp_path, capsys):
     assert "boom" in str(err.value)
 
     # a wide static run steps its schedule in row blocks: a failure in the
-    # second block names that block's first tick, and simulate exits 1
+    # second block names that block's first tick, and simulate exits 3
     wide = small_config(n_resources=1000, n_ticks=10, stationary_prefix=0)
     rows = engine._BLOCK // wide.n_resources
     step_bank, calls = engine.step_bank, []
@@ -622,7 +622,7 @@ def test_failures_carry_the_tick(monkeypatch, tmp_path, capsys):
     save_scenario(wide, scenario)
     out = tmp_path / "out"
     assert main(["simulate", "--policy", "static", "--scenario", str(scenario),
-                 "--out", str(out)]) == 1
+                 "--out", str(out)]) == 3
     assert not out.exists()
     assert f"error: tick {rows}: injected" in capsys.readouterr().err
 
@@ -648,7 +648,7 @@ def test_failures_carry_the_tick(monkeypatch, tmp_path, capsys):
     save_scenario(narrow, scenario)
     out = tmp_path / "narrow"
     assert main(["simulate", "--policy", "static", "--scenario", str(scenario),
-                 "--out", str(out)]) == 1
+                 "--out", str(out)]) == 3
     assert not out.exists()
     assert "error: tick 4: injected" in capsys.readouterr().err
 
@@ -658,7 +658,7 @@ def test_failures_carry_the_tick(monkeypatch, tmp_path, capsys):
 def test_bad_grant_stops_the_run_at_its_tick(monkeypatch, tmp_path, capsys,
                                              bank, bad):
     # an online grant that is NaN or negative at tick 4 stops the run there,
-    # on either twin path, and `compare` exits 1 with no outputs
+    # on either twin path, and `compare` exits 3 with no outputs
     cfg = small_config(n_ticks=8, stationary_prefix=0)
     monkeypatch.setattr("twinalloc.engine.BANK_MIN_RESOURCES",
                         cfg.n_resources if bank else cfg.n_resources + 1)
@@ -682,7 +682,7 @@ def test_bad_grant_stops_the_run_at_its_tick(monkeypatch, tmp_path, capsys,
     save_scenario(cfg, scenario)
     out = tmp_path / "out"
     assert main(["compare", "--scenario", str(scenario),
-                 "--out", str(out)]) == 1
+                 "--out", str(out)]) == 3
     assert not out.exists()
     assert "error: tick 4: granted must be" in capsys.readouterr().err
 
@@ -718,8 +718,8 @@ def test_online_stops_at_the_first_bad_tick(monkeypatch, tmp_path, capsys,
                                             bank):
     # online solves its whole schedule before any twin steps, on either
     # twin path, but checks each row before it solves the next: a NaN grant
-    # at tick 4 stops the run there, and the solve of tick 6, which would
-    # raise a SolverError (exit 3), is never called
+    # at tick 4 stops the run there (exit 3), and the solve of tick 6,
+    # which would raise a SolverError, is never called
     cfg = small_config(n_resources=engine.BANK_MIN_RESOURCES, n_ticks=10,
                        stationary_prefix=0)
     monkeypatch.setattr("twinalloc.engine.BANK_MIN_RESOURCES",
@@ -750,7 +750,7 @@ def test_online_stops_at_the_first_bad_tick(monkeypatch, tmp_path, capsys,
     save_scenario(cfg, scenario)
     out = tmp_path / "out"
     assert main(["compare", "--scenario", str(scenario),
-                 "--out", str(out)]) == 1
+                 "--out", str(out)]) == 3
     assert not out.exists()
     assert "error: tick 4: granted must be" in capsys.readouterr().err
     assert ticks == [0, 1, 2, 3, 4]

@@ -398,6 +398,40 @@ def test_hinge_solve_satisfies_kkt():
         _check_kkt(a, target, soft_lower, dev_floor, rho, capacity)
 
 
+@pytest.mark.parametrize("n", [1, 2, 20, 300, 1000])
+def test_knot_block_leaves_the_allocation_unchanged(monkeypatch, n):
+    # the bracket, and so every bit of the allocation, does not depend on
+    # how many knots a pass tests: from one (bisection) to all of them, on
+    # binding instances with repeated knots (integer targets, l = f ties,
+    # and in every fourth instance one coordinate copied n times)
+    rng = np.random.default_rng(3000 + n)
+    cases = []
+    for trial in range(24):
+        rho = (0.0, 3.5, 1e3)[trial % 3]
+        target = rng.integers(1, 46, n).astype(float)
+        if trial % 2:
+            target += rng.uniform(-0.5, 0.5, n)
+        soft_lower = np.maximum(target - rng.integers(0, 13, n), 1.0)
+        dev_floor = target - 10.0 * rng.uniform(0.0, 5.0, n)
+        ties = rng.random(n) < 0.3
+        dev_floor[ties] = soft_lower[ties]
+        if trial % 4 == 0:
+            target, soft_lower, dev_floor = (
+                np.full(n, v[0]) for v in (target, soft_lower, dev_floor))
+        # a(0) >= target, so a budget below its sum binds
+        capacity = float(target.sum()) * rng.uniform(0.05, 0.999)
+        cases.append((target, soft_lower, dev_floor, rho, capacity))
+    solved = {}
+    for block in (1, 3, 64, 2048, 10 ** 6):
+        monkeypatch.setattr(solver, "_KNOT_BLOCK", block)
+        solved[block] = [hinge_quadratic_solve(*case) for case in cases]
+    for block, results in solved.items():
+        for trial, ((a, passes), (want, _)) in enumerate(
+                zip(results, solved[2048])):
+            assert passes >= 2, (block, trial)   # the knot search ran
+            assert np.array_equal(a, want), (block, trial)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 17, 20, 33, 100, 300, 1000,
                                2500])
 def test_blocked_knot_search_matches_bisection(n):
