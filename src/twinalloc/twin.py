@@ -8,10 +8,11 @@ counterfactual run that got everything it asked for. Every twin descends
 on f(x) = kappa/2 (x - c)^2 over one box with one step, fixed module
 constants, so descent contracts by one factor q per step and both runs are
 evaluated in closed form, in O(1) whatever the grant, with the powers of q
-read from one table. DigitalTwin and step_control run one twin; step_bank
-runs a whole population over a block of ticks as arrays, bit for bit the
-same, stepping only the actions tick by tick. Requirements, floors, regret
-and regret budgets are arrays over all twins, held by the caller.
+read from one table and each gap squared as d * d, correctly rounded (libm's
+pow need not be). DigitalTwin and step_control run one twin; step_bank runs
+a whole population over a block of ticks as arrays, bit for bit the same,
+stepping only the actions tick by tick. Requirements, floors, regret and
+regret budgets are arrays over all twins, held by the caller.
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ def step_control(twin: DigitalTwin, granted: float) -> float:
     x_requested = (lo if x_requested < lo else hi if x_requested > hi
                    else x_requested)
     twin._action = x_granted
-    return (_HALF_KAPPA * (x_granted - c) ** 2
-            - _HALF_KAPPA * (x_requested - c) ** 2)
+    d_g, d_r = x_granted - c, x_requested - c
+    return _HALF_KAPPA * (d_g * d_g) - _HALF_KAPPA * (d_r * d_r)
 
 
 def check_grants(granted) -> np.ndarray:
@@ -173,7 +174,7 @@ def step_bank(actions: np.ndarray, targets, k_prime, granted) -> np.ndarray:
     by tick, x = clip(c + q^g (x - c)); the requested runs and the
     increments are then whole-block array operations. Each element takes
     step_control's operations in its order, with the same powers of q and
-    np.float_power for the squares, so actions and increments equal
+    the squares as products (np.square), so actions and increments equal
     step_control's bit for bit.
     """
     if not granted.shape == k_prime.shape == targets.shape:
@@ -196,7 +197,7 @@ def step_bank(actions: np.ndarray, targets, k_prime, granted) -> np.ndarray:
     np.maximum(requested, lo, out=requested)
     np.minimum(requested, hi, out=requested)
     runs -= targets
-    np.float_power(runs, 2, out=runs)
+    np.square(runs, out=runs)
     runs *= _HALF_KAPPA
     return runs[0] - runs[1]
 

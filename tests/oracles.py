@@ -163,8 +163,8 @@ def step_control_pair(x0, c, k_prime, granted, lo=0.0, hi=10.0, kappa=1.0,
     x_requested = (lo if x_requested < lo else hi if x_requested > hi
                    else x_requested)
     half_kappa = 0.5 * kappa
-    return (x_granted, half_kappa * (x_granted - c) ** 2,
-            half_kappa * (x_requested - c) ** 2)
+    d_g, d_r = x_granted - c, x_requested - c
+    return x_granted, half_kappa * (d_g * d_g), half_kappa * (d_r * d_r)
 
 
 def hinge_quadratic_solve_bisection(target, soft_lower, dev_floor, rho,

@@ -1,6 +1,8 @@
 """Digital twin requirement, control and regret tests."""
 
+import hashlib
 import itertools
+from fractions import Fraction
 from math import ceil
 
 import numpy as np
@@ -229,6 +231,36 @@ def test_increment_equals_pair_form_bit_for_bit():
     assert np.array_equal(x0, action)   # moved in place
 
 
+def test_squares_are_correctly_rounded_on_both_paths():
+    # each gap's square is the exact square rounded once, as d * d gives and
+    # libm's pow need not: both paths against Fraction over seeded cases,
+    # which include every sampled gap whose d ** 2 != d * d on the platform
+    # (glibc's pow misrounds some; none need exist for the test to hold)
+    rng = np.random.default_rng(4242)
+    n = 20_000
+    x0 = rng.uniform(LO, HI, n)
+    c = rng.uniform(LO, HI, n)
+    k_prime = rng.integers(1, 46, n).astype(float)
+    grant = rng.uniform(0, 60, n)
+    want, actions = [], []
+    for start, target, req, g in zip(x0.tolist(), c.tolist(),
+                                     k_prime.tolist(), grant.tolist()):
+        granted, requested = DigitalTwin(), DigitalTwin()
+        for twin in (granted, requested):
+            twin._action = start
+            twin.assign_task(int(req), target)
+        out = step_control(granted, g)
+        step_control(requested, req)   # the requested run: a grant of k'
+        d_g, d_r = granted.action - target, requested.action - target
+        assert out == (0.5 * float(Fraction(d_g) ** 2)
+                       - 0.5 * float(Fraction(d_r) ** 2))
+        want.append(out)
+        actions.append(granted.action)
+    increments = step_bank(x0, c[None], k_prime[None], grant[None])
+    assert increments[0].tolist() == want
+    assert x0.tolist() == actions   # moved in place
+
+
 @pytest.mark.parametrize("one_row_grant", [False, True],
                          ids=["grant-per-tick", "held-grant"])
 def test_block_equals_one_row_calls_bit_for_bit(one_row_grant):
@@ -335,6 +367,15 @@ def test_power_table_is_q_to_the_k():
         0.0] * len(beyond)
     # no bit moves from the powers step_control used to compute
     assert all(q ** k == np.float_power(q, float(k)) for k in range(4000))
+
+
+def test_power_table_pins_the_platform_pow():
+    # a libm canary: the q ** k table is the one place the outputs still
+    # depend on the C library's pow, so this digest pins that pow (recorded
+    # with glibc 2.36 on x86-64); if it moves, every fixture moves with it
+    digest = hashlib.sha256(twin_module._Q_POWER_ARRAY.tobytes()).hexdigest()
+    assert digest == ("e4cbe3e440c7c4de54819f759398522716b9df0c"
+                      "5adc3f152e96a93a430057c3")
 
 
 def test_reference_descent_never_needs_its_clamp():
