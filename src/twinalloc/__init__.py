@@ -12,9 +12,9 @@ from .core import (DEFAULT_MAX_DEVIATION, DEFAULT_SLACK_PENALTY,
                    InfeasibleSetError, ScenarioConfig,
                    ScenarioValidationError, compute_residual)
 from .engine import (SimResult, SimulationError, compare_policies,
-                     evolve_requirements, load_scenario, requirement_walk,
+                     draw_walks, evolve_requirements, load_scenario,
                      run_scenario, save_scenario, scenario_from_dict,
-                     scenario_to_dict, target_walk)
+                     scenario_to_dict)
 from .manager import (PolicyKind, allocate_equal, allocate_event,
                       allocate_online, allocate_static,
                       estimate_event_horizon, should_trigger)
@@ -37,11 +37,11 @@ __all__ = [
     "SmoothConvexProblem", "SolverError", "allocate_equal", "allocate_event",
     "allocate_online", "allocate_static", "build_manifest",
     "check_satisfaction", "compare_policies", "compute_requirement",
-    "compute_residual", "config_digest", "estimate_event_horizon",
-    "evolve_requirements", "forecast_requirements", "iterations_for_delta",
-    "load_scenario", "metrics_csv", "pga_solve", "project_capped_simplex",
-    "regret_budgets", "render_comparison_svg", "requirement_walk",
+    "compute_residual", "config_digest", "draw_walks",
+    "estimate_event_horizon", "evolve_requirements", "forecast_requirements",
+    "iterations_for_delta", "load_scenario", "metrics_csv", "pga_solve",
+    "project_capped_simplex", "regret_budgets", "render_comparison_svg",
     "run_scenario", "save_scenario", "scenario_from_dict", "scenario_to_dict",
-    "should_trigger", "step_control", "summarize", "target_walk",
-    "update_regret", "write_manifest", "write_metrics_csv",
+    "should_trigger", "step_control", "summarize", "update_regret",
+    "write_manifest", "write_metrics_csv",
 ]

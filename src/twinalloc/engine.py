@@ -1,9 +1,9 @@
 """Deterministic tick-loop orchestration of twins and the network manager.
 
-The plant-floor requirement walk and the twins' setpoint walks are drawn
-for the whole run up front. The reports k', their floors and the setpoints
-are checked once, before tick 0; every twin's regret and budget are
-arrays. Only step(block), every twin over a row block of the grant
+draw_walks draws the plant-floor requirement walk and the twins'
+setpoint walk for the whole run up front. The reports k', their floors and
+the setpoints are checked once, before tick 0; every twin's regret and
+budget are arrays. Only step(block), every twin over a row block of the grant
 schedule, depends on the width: from BANK_MIN_RESOURCES twins one array
 bank (twin.step_bank) moves the actions, its only state; a narrower run
 walks the block's rows through one DigitalTwin per resource (assign_task,
@@ -18,9 +18,9 @@ The residual series is computed once, after the last tick. All randomness
 comes from named substreams of one master seed, so the walks are identical
 across policies and independent of execution order.
 Substream (seed, domain, i) is numpy's
-Generator(PCG64(SeedSequence((seed, domain, i)))); the engine draws all
-of a walk's substreams at once in its own vectorised pass of the same hash
-and generator, bit for bit, at one 128-bit multiply per output.
+Generator(PCG64(SeedSequence((seed, domain, i)))); the engine seeds both
+walks' substreams at once in its own vectorised pass of the same hash and
+generator, bit for bit, and draws at one 128-bit multiply per output.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def evolve_requirements(current, tick: int, config: ScenarioConfig,
     Stationary during the prefix (no draws consumed, so trajectories agree
     across any code path that skips those ticks); afterwards each resource
     adds an independent uniform integer step in [-d, d] and clamps to the
-    requirement range. requirement_walk reproduces it with block draws.
+    requirement range. draw_walks reproduces it with block draws.
     """
     if tick < 0:
         raise ValueError("tick must be nonnegative")
@@ -221,43 +221,37 @@ def evolve_requirements(current, tick: int, config: ScenarioConfig,
     return np.clip(current + steps, lo, hi)
 
 
-def requirement_walk(config: ScenarioConfig, seed: int) -> np.ndarray:
-    """(n_ticks, n) int64 requirement trajectory for the whole run.
+def draw_walks(config: ScenarioConfig,
+               seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The run's (n_ticks, n) walks: int64 requirements, and setpoints
+    uniform in the default task box.
 
-    Row 0 is the initial draw; each later row is one evolve_requirements
-    tick. Every resource's steps come from one block draw on its own walk
-    substream, which yields the same values as one scalar draw per tick.
+    Requirement row 0 is the initial draw; each later row is one
+    evolve_requirements tick. Each resource's steps and each twin's
+    setpoints are one block draw on its own substream, the same values as
+    one scalar draw per tick; all 2n + 1 substreams are seeded in one
+    pass. The setpoint rows are contiguous, as the twins read them a tick
+    at a time.
     """
     n, n_ticks = config.n_resources, config.n_ticks
     d = config.requirement_step_bound
     lo, hi = config.requirement_range
     first = min(max(config.stationary_prefix, 1), n_ticks)  # first step tick
-    # the n walk substreams and the scenario substream, hashed in one pass
+    # columns: n walk streams, the scenario stream, n target streams
     streams = _pcg64(_seed_words(
-        seed, [_DOMAIN_RESOURCE_WALK] * n + [_DOMAIN_SCENARIO],
-        [*range(n), 0]))
+        seed, [_DOMAIN_RESOURCE_WALK] * n + [_DOMAIN_SCENARIO]
+        + [_DOMAIN_TWIN_TARGETS] * n, [*range(n), 0, *range(n)]))
     walk = np.zeros((n_ticks, n), dtype=np.int64)  # rows t >= 1: steps
     walk[first:] = _integers(streams[:, :n], -d, d, n_ticks - first).T
-    walk[0] = _integers(streams[:, n:], *config.initial_requirement_range,
-                        n)[0]
+    walk[0] = _integers(streams[:, n:n + 1],
+                        *config.initial_requirement_range, n)[0]
     for prev, row in zip(walk, walk[1:]):  # step + previous row, clamped
         np.add(prev, row, out=row)
         np.maximum(row, lo, out=row)
         np.minimum(row, hi, out=row)
-    return walk
-
-
-def target_walk(config: ScenarioConfig, seed: int) -> np.ndarray:
-    """(n_ticks, n) setpoints, uniform in the default task box.
-
-    Column i is one block draw on twin i's target substream, which yields
-    the same values as one scalar draw per tick. The rows are contiguous,
-    as the twins read them a tick at a time.
-    """
-    n, n_ticks = config.n_resources, config.n_ticks
-    streams = _pcg64(_seed_words(seed, [_DOMAIN_TWIN_TARGETS] * n, range(n)))
-    return np.ascontiguousarray(
-        _uniform(streams, DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH, n_ticks).T)
+    targets = _uniform(streams[:, n + 1:], DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH,
+                       n_ticks)
+    return walk, np.ascontiguousarray(targets.T)
 
 
 @dataclass(frozen=True)
@@ -289,7 +283,7 @@ def run_scenario(config: ScenarioConfig, policy: PolicyKind,
     re-solves the receding-horizon problem every tick.
     """
     return _simulate(config, PolicyKind(policy), seed,
-                     requirement_walk(config, seed), target_walk(config, seed))
+                     *draw_walks(config, seed))
 
 
 def _simulate(config: ScenarioConfig, policy: PolicyKind, seed: int,
@@ -398,7 +392,7 @@ def compare_policies(config: ScenarioConfig,
     Both walks are drawn once and shared, read-only; each policy runs on
     its own twins, so the results equal four run_scenario calls.
     """
-    walks = requirement_walk(config, seed), target_walk(config, seed)
+    walks = draw_walks(config, seed)
     return {kind: _simulate(config, kind, seed, *walks) for kind in PolicyKind}
 
 

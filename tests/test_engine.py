@@ -9,11 +9,10 @@ from tests.oracles import step_control_reference
 from twinalloc import engine
 from twinalloc.cli import main
 from twinalloc.core import ScenarioConfig, ScenarioValidationError, compute_residual
-from twinalloc.engine import (SimulationError, compare_policies,
+from twinalloc.engine import (SimulationError, compare_policies, draw_walks,
                               evolve_requirements, load_scenario,
-                              requirement_walk, run_scenario, save_scenario,
-                              scenario_from_dict, scenario_to_dict,
-                              target_walk)
+                              run_scenario, save_scenario, scenario_from_dict,
+                              scenario_to_dict)
 from twinalloc.manager import (DEFAULT_MAX_REALLOCATION_PERIOD, PolicyKind,
                                estimate_event_horizon)
 from twinalloc.solver import SolverError
@@ -60,9 +59,9 @@ def small_config(**kwargs):
 
 def test_initial_draw_deterministic_and_in_range():
     cfg = ScenarioConfig()
-    a = requirement_walk(cfg, 7)[0]
-    b = requirement_walk(cfg, 7)[0]
-    c = requirement_walk(cfg, 8)[0]
+    a = draw_walks(cfg, 7)[0][0]
+    b = draw_walks(cfg, 7)[0][0]
+    c = draw_walks(cfg, 8)[0][0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     lo, hi = cfg.initial_requirement_range
@@ -112,7 +111,7 @@ def test_block_walk_matches_scalar_draws(d, prefix):
                          requirement_step_bound=d, requirement_range=(1, 8),
                          initial_requirement_range=(2, 7))
     for seed in (11, 2**32 + 5, 2**64 - 1):   # one- and two-word seeds
-        walk = requirement_walk(cfg, seed)
+        walk = draw_walks(cfg, seed)[0]
         assert walk.dtype == np.int64 and walk.shape == (120, 7)
 
         streams = [RecordingStream(seed, i) for i in range(7)]
@@ -145,7 +144,7 @@ def test_target_walk_matches_scalar_draws(seed):
         for n_ticks in (1, 50):
             cfg = ScenarioConfig(n_resources=n, n_ticks=n_ticks,
                                  stationary_prefix=0)
-            targets = target_walk(cfg, seed)
+            targets = draw_walks(cfg, seed)[1]
             assert targets.shape == (n_ticks, n)
             for i in range(n):
                 rng = np.random.Generator(np.random.PCG64(
@@ -158,8 +157,8 @@ def test_target_walk_stays_in_the_task_box():
     # every setpoint lies in [DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH], the box
     # DigitalTwin.assign_task checks each target against
     for seed in (0, 1, 7, 2**32 + 5, 2**64 - 1):
-        targets = target_walk(ScenarioConfig(n_resources=1000, n_ticks=50,
-                                             stationary_prefix=0), seed)
+        targets = draw_walks(ScenarioConfig(n_resources=1000, n_ticks=50,
+                                            stationary_prefix=0), seed)[1]
         assert targets.shape == (50, 1000)
         assert DEFAULT_BOX_LOW <= targets.min()
         assert targets.max() <= DEFAULT_BOX_HIGH
@@ -245,7 +244,7 @@ def test_wide_walk_matches_scalar_draws():
                          requirement_range=(1, 2**50),
                          initial_requirement_range=(2**45, 2**45 + 2**34))
     for seed in (0, 2**64 - 1):
-        walk = requirement_walk(cfg, seed)
+        walk = draw_walks(cfg, seed)[0]
         cur = reference_generator(seed, 2, 0).integers(
             2**45, 2**45 + 2**34, endpoint=True, size=5)
         np.testing.assert_array_equal(walk[0], cur)
@@ -254,6 +253,43 @@ def test_wide_walk_matches_scalar_draws():
         for t in range(1, 30):
             expected.append(evolve_requirements(expected[-1], t, cfg, rngs))
         np.testing.assert_array_equal(walk, np.array(expected))
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**64 - 1])
+def test_one_resource_walk_matches_numpy_streams(seed):
+    # at n = 1 the scenario stream's column sits between the only walk
+    # stream and the only target stream; each walk reads its own
+    cfg = ScenarioConfig(n_resources=1, n_ticks=50, stationary_prefix=3,
+                         requirement_step_bound=2, requirement_range=(1, 6),
+                         initial_requirement_range=(2, 5))
+    walk, targets = draw_walks(cfg, seed)
+    assert walk.shape == targets.shape == (50, 1)
+    expected = [reference_generator(seed, 2, 0).integers(
+        2, 5, endpoint=True, size=1)]
+    rngs = [reference_generator(seed, 0, 0)]
+    for t in range(1, 50):
+        expected.append(evolve_requirements(expected[-1], t, cfg, rngs))
+    np.testing.assert_array_equal(walk, np.array(expected))
+    assert targets[:, 0].tolist() == reference_generator(seed, 1, 0).uniform(
+        DEFAULT_BOX_LOW, DEFAULT_BOX_HIGH, size=50).tolist()
+
+
+def test_each_run_seeds_its_substreams_once(monkeypatch):
+    # both walks come from one hash pass, whether one policy runs or four
+    calls = []
+    seed_words = engine._seed_words
+
+    def counted(*args):
+        calls.append(args[0])
+        return seed_words(*args)
+
+    monkeypatch.setattr("twinalloc.engine._seed_words", counted)
+    cfg = small_config(n_ticks=10)
+    run_scenario(cfg, PolicyKind.STATIC, 9)
+    assert calls == [9]
+    calls.clear()
+    compare_policies(cfg, 9)
+    assert calls == [9]
 
 
 # ---------------------------------------------------------------- hand traces
@@ -301,7 +337,7 @@ def test_default_capacity_is_the_exact_requirement_sum(tmp_path):
     for seed in (0, 5):
         first = reference_generator(seed, 2, 0).integers(
             *cfg.initial_requirement_range, endpoint=True, size=3)
-        np.testing.assert_array_equal(requirement_walk(cfg, seed)[0], first)
+        np.testing.assert_array_equal(draw_walks(cfg, seed)[0][0], first)
         exact = float(sum(first.tolist()))
         assert exact > 2.0 ** 64
         for res in compare_policies(cfg, seed).values():
@@ -760,18 +796,18 @@ def test_online_stops_at_the_first_bad_tick(monkeypatch, tmp_path, capsys,
 def test_target_outside_the_box_is_rejected(monkeypatch, bad):
     # both twin paths check the whole setpoint walk before tick 0, so a bad
     # setpoint at tick 7 stops the run at tick 0 with no solve run
-    walk = engine.target_walk
+    walks = engine.draw_walks
 
     def spoiled(config, seed):
-        targets = walk(config, seed)
+        requirements, targets = walks(config, seed)
         targets[7, 1] = bad
-        return targets
+        return requirements, targets
 
     def no_solve(*args):
         raise AssertionError("a tick ran")
 
     cfg = small_config(n_ticks=12, stationary_prefix=0)
-    monkeypatch.setattr("twinalloc.engine.target_walk", spoiled)
+    monkeypatch.setattr("twinalloc.engine.draw_walks", spoiled)
     monkeypatch.setattr("twinalloc.engine.allocate_static", no_solve)
     for threshold in (cfg.n_resources + 1, cfg.n_resources):  # per-twin, bank
         monkeypatch.setattr("twinalloc.engine.BANK_MIN_RESOURCES", threshold)

@@ -200,9 +200,10 @@ def test_step_control_matches_single_loop_reference():
 
 def test_increment_equals_pair_form_bit_for_bit():
     # step_control returns achieved - baseline of the pair-returning closed
-    # form it replaced, with the same action, exactly; the golden fixtures
-    # skip the regret digest, so this is what pins regret's bits. step_bank,
-    # run on every case as one population, matches step_control exactly
+    # form it replaced, with the same action, exactly; the golden cases pin
+    # regret's bits per policy (regret_sha256), and this pins them case by
+    # case. step_bank, run on every case as one population, matches
+    # step_control exactly
     rng = np.random.default_rng(1010)
     cases = []
     points = [LO, HI, 0.5 * (LO + HI)] + rng.uniform(LO, HI, 13).tolist()
