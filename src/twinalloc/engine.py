@@ -423,14 +423,19 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 def load_scenario(path) -> ScenarioConfig:
     """Read a scenario JSON file; OSError and validation errors propagate.
-    Bytes that are not UTF-8 JSON, integers too long to convert and nesting
-    too deep to decode are invalid scenarios."""
+    Bytes that are not UTF-8 JSON, integers too long to convert, nesting
+    too deep to decode and a key given twice are invalid scenarios."""
+    keys = []  # every object's keys, sorted, nested objects' too
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=lambda pairs: keys.append(
+                sorted(key for key, _ in pairs)) or dict(pairs))
         except (ValueError, RecursionError) as exc:
             raise ScenarioValidationError(
                 [f"scenario file is not valid JSON: {exc}"]) from exc
+    twice = [a for ks in keys for a, b in zip(ks, ks[1:]) if a == b]
+    if twice:  # named one at a time, as a JSON syntax error is
+        raise ScenarioValidationError([f"duplicate scenario key: {twice[0]}"])
     return scenario_from_dict(data)
 
 

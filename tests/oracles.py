@@ -3,8 +3,11 @@
 Everything here is deliberately brute force: dense grids, exhaustive
 active-set enumeration, rejection sampling, a step-by-step descent, a
 breakpoint search one knot at a time. None of it shares code with the
-package under test. Four exceptions are earlier forms kept to check their
-successors: step_control_pair, the twin's control step, and
+package under test but reference_run, the paper's whole loop per tick and
+per twin on reference_walks' scalar draws from numpy's own substreams,
+whose one package call is hinge_quadratic_solve, the allocation solve that
+the brute-force oracles here check. Four exceptions are earlier forms kept
+to check their successors: step_control_pair, the twin's control step, and
 forecast_solve_inputs, the allocation policies' persistence-forecast inputs,
 both bit-exact; metrics_csv_writer, the metrics table as csv.writer
 rendered it, byte-exact; and project_capped_simplex_sort, the projection
@@ -17,6 +20,8 @@ import itertools
 import math
 
 import numpy as np
+
+from twinalloc.solver import hinge_quadratic_solve
 
 
 def box_qp_oracle(Q, c, lower, upper):
@@ -248,3 +253,117 @@ def metrics_csv_writer(result):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+def reference_walks(config, seed):
+    """The run's (n_ticks, n) walks, int64 requirements and float setpoints,
+    one scalar draw at a time from numpy's own substreams.
+
+    Substream (seed, domain, i) is Generator(PCG64(SeedSequence((seed,
+    domain, i)))) (NEP 19). Domain 2, index 0 draws requirement row 0 from
+    the initial range. From tick max(prefix, 1) on, resource i's stream in
+    domain 0 draws one step in [-d, d] per tick, added to the previous
+    requirement and clamped to the range; before it a row repeats the last.
+    Twin i's stream in domain 1 draws one setpoint in the box [0, 10] per
+    tick.
+    """
+    def stream(domain, index):
+        return np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((seed, domain, index))))
+
+    n, d = config.n_resources, config.requirement_step_bound
+    lo, hi = config.requirement_range
+    walk_streams = [stream(0, i) for i in range(n)]
+    setpoint_streams = [stream(1, i) for i in range(n)]
+    rows = [stream(2, 0).integers(*config.initial_requirement_range,
+                                  endpoint=True, size=n).tolist()]
+    for t in range(1, config.n_ticks):
+        if t < config.stationary_prefix:
+            rows.append(rows[-1])
+        else:
+            rows.append([min(max(r + int(s.integers(-d, d, endpoint=True)),
+                                 lo), hi)
+                         for r, s in zip(rows[-1], walk_streams)])
+    setpoints = [[float(s.uniform(0.0, 10.0)) for s in setpoint_streams]
+                 for _ in range(config.n_ticks)]
+    return np.array(rows, dtype=np.int64), np.array(setpoints)
+
+
+def reference_run(config, policy, seed, walks=None,
+                  twin_step=step_control_pair):
+    """One run of the paper's loop, tick by tick and twin by twin in plain
+    Python, with the model's constants written out. Returns a dict of the
+    engine's SimResult fields but policy and seed.
+
+    walks are reference_walks(config, seed) unless given; policy is a
+    PolicyKind, read by its token. Every twin starts at 5, the middle of
+    the box [0, 10], and has the regret budget eps_i = epsilon_per_step
+    or, by default, 0.1 of the solve tolerance 10^2 / (2 * 0.2 * k'_0) of
+    its first report. The budget is capacity_b or the sum of the first reports.
+    Equal splits it evenly; static, and event at tick 0, solve on the
+    first reports alone. Online re-solves every tick at N = 1; event
+    re-solves at tick t once 25 ticks have passed since its last event (or
+    tick 0), or some |R_i| > eps_i * (ticks since), at N = 10 before two
+    events and otherwise the last <= 5 event ticks' span over their count,
+    at least 1, and resets every R_i first. A re-solve tracks the reports k'
+    with floors max(ceil(k' - gap), 1) and shortfall floors k' - 10 at
+    penalty rho / N. Each twin then calls twin_step(x, c, k', grant) and
+    adds achieved - baseline to its regret.
+    """
+    requirements, setpoints = (reference_walks(config, seed) if walks is None
+                               else walks)
+    policy = policy.value
+    n = config.n_resources
+    first = requirements[0].tolist()
+    capacity = (config.capacity_b if config.capacity_b is not None
+                else float(sum(first)))
+    if config.epsilon_per_step is None:
+        epsilon = [0.1 * (10.0 * 10.0 / (2.0 * 0.2 * float(k))) for k in first]
+    else:
+        epsilon = [config.epsilon_per_step] * n
+
+    def solve(reports, horizon):
+        floors = [max(float(math.ceil(k - config.gap)), 1.0) for k in reports]
+        return hinge_quadratic_solve(
+            reports, floors, [k - 10.0 for k in reports],
+            config.rho / horizon, capacity)[0].tolist()
+
+    actions, regret, events = [5.0] * n, [0.0] * n, []
+    allocations, regrets, residuals = [], [], []
+    for t, (req, targets) in enumerate(zip(requirements.tolist(),
+                                           setpoints.tolist())):
+        reports = [float(k) for k in req]
+        if policy == "online":
+            grants = solve(reports, 1)
+            if t:
+                events.append(t)
+        elif t == 0:
+            grants = ([capacity / n] * n if policy == "equal" else
+                      hinge_quadratic_solve(reports, 0.0, 0.0, 0.0,
+                                            capacity)[0].tolist())
+        elif policy == "event":
+            since = t - (events[-1] if events else 0)
+            if since >= 25 or any(abs(r) > e * since
+                                  for r, e in zip(regret, epsilon)):
+                recent = events[-5:]
+                horizon = (10 if len(recent) < 2 else
+                           max((recent[-1] - recent[0]) // len(recent), 1))
+                grants = solve(reports, horizon)
+                events.append(t)
+                regret = [0.0] * n
+        for i in range(n):
+            actions[i], achieved, baseline = twin_step(
+                actions[i], targets[i], req[i], grants[i])
+            regret[i] += achieved - baseline
+        allocations.append(grants)
+        regrets.append(list(regret))
+        residuals.append(max(abs(k - a) for k, a in zip(reports, grants)))
+    after = residuals[config.stationary_prefix:]
+    return {"capacity_b": capacity,
+            "residual_inf_series": np.array(residuals),
+            "mean_residual_after_prefix": (float(np.mean(after)) if after
+                                           else float("nan")),
+            "reallocation_ticks": tuple(events),
+            "regret_series": np.array(regrets),
+            "requirement_series": requirements,
+            "allocation_series": np.array(allocations)}

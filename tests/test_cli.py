@@ -229,6 +229,19 @@ def test_invalid_scenario_names_every_field(tmp_path, capsys):
     assert "error: gap must be a finite number" in err
 
 
+def test_duplicate_scenario_key_exits_config(tmp_path, capsys):
+    # the last value used to win without a word: 70 ticks ran
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"n_ticks": 50, "n_ticks": 70}')
+    out = tmp_path / "out"
+    code = main(["compare", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "error: duplicate scenario key: n_ticks" in err
+    assert "not valid JSON" not in err
+
+
 @pytest.mark.parametrize("capacity", ["1e-17", "1e-300", "5e-324"])
 def test_tiny_positive_capacity_runs(tmp_path, capsys, capacity):
     # a budget below the rounding of the requirement sums must still give

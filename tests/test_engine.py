@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from tests.oracles import step_control_reference
+from tests.oracles import (reference_run, reference_walks,
+                           step_control_reference)
 from twinalloc import engine
 from twinalloc.cli import main
 from twinalloc.core import ScenarioConfig, ScenarioValidationError, compute_residual
@@ -426,6 +427,20 @@ def test_online_reallocates_every_tick(small_runs):
     assert online.reallocation_ticks == tuple(range(1, cfg.n_ticks))
 
 
+@pytest.mark.parametrize("step_bound, static_wins", [(1, True), (4, False)])
+def test_static_beats_equal_only_on_a_slow_walk(step_bound, static_wins):
+    # criterion 1's static < equal holds at the default walk step bound of
+    # 1; over 300 ticks at bound 4 the solve on the first reports loses to
+    # the even split on every seed (post-prefix mean residual, seed 0:
+    # static 17.93 against equal 26.77 at bound 1, 33.27 against 27.55 at 4)
+    config = ScenarioConfig(n_ticks=300, requirement_step_bound=step_bound)
+    for seed in range(8):
+        static, equal = (
+            run_scenario(config, kind, seed).mean_residual_after_prefix
+            for kind in (PolicyKind.STATIC, PolicyKind.EQUAL))
+        assert (static < equal) is static_wins, (seed, static, equal)
+
+
 @pytest.mark.parametrize("policy", [PolicyKind.EVENT_TRIGGERED,
                                     PolicyKind.ONLINE_DYNAMIC])
 def test_solves_see_this_ticks_reports(monkeypatch, policy):
@@ -460,12 +475,54 @@ def test_solves_see_this_ticks_reports(monkeypatch, policy):
         assert constraints.capacity_b == res.capacity_b
 
 
-def loop_step_control(twin, granted):
-    """engine.step_control run as the reference loop of clamped steps."""
-    action, achieved, baseline = step_control_reference(
-        twin.action, twin._target, twin._k_prime, granted)
-    twin._action = action
-    return achieved - baseline
+# (n, n_ticks): 39 twins step one by one and 40 on the bank, each over a
+# ragged last row block (105 + 15 and 102 + 18 rows), and 300 on the bank
+# over five (4 * 13 + 8)
+REFERENCE_WIDTHS = [(1, 100), (3, 100), (20, 100), (39, 120), (40, 120),
+                    (300, 60)]
+REFERENCE_VARIANTS = {"default": {}, "eps0.05": {"epsilon_per_step": 0.05},
+                      "capacity123.456": {"capacity_b": 123.456},
+                      "prefix0": {"stationary_prefix": 0},
+                      "eps1e3": {"epsilon_per_step": 1e3}}
+REFERENCE_EDGES = {"prefix-is-T": {"n_ticks": 30, "stationary_prefix": 30},
+                   "one-tick": {"n_ticks": 1, "stationary_prefix": 0},
+                   "step-bound-4": {"requirement_step_bound": 4}}
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(ScenarioConfig(n_resources=n, n_ticks=n_ticks, **variant),
+                 id=f"{name}-n{n}")
+    for n, n_ticks in REFERENCE_WIDTHS
+    for name, variant in REFERENCE_VARIANTS.items()] + [
+    pytest.param(ScenarioConfig(n_resources=n, **edge), id=f"{name}-n{n}")
+    for n in (3, 40) for name, edge in REFERENCE_EDGES.items()])
+def test_engine_matches_reference(config):
+    # every policy, each width on its own twin path, against the paper's
+    # loop run per tick and per twin on numpy's own substreams: the same
+    # bits in every series, the same reallocation ticks, budget and
+    # post-prefix mean; each trigger rule fires where it should
+    for seed in (3, 2 ** 64 - 1):
+        walks = reference_walks(config, seed)
+        assert all(map(np.array_equal, draw_walks(config, seed), walks))
+        runs = compare_policies(config, seed)
+        for kind, got in runs.items():
+            want = reference_run(config, kind, seed, walks)
+            assert got.requirement_series.dtype == np.int64
+            for field in ("requirement_series", "allocation_series",
+                          "regret_series", "residual_inf_series"):
+                assert np.array_equal(getattr(got, field), want[field]), (
+                    seed, kind, field)
+            assert got.reallocation_ticks == want["reallocation_ticks"]
+            assert got.capacity_b == want["capacity_b"]
+            assert np.array_equal(got.mean_residual_after_prefix,
+                                  want["mean_residual_after_prefix"],
+                                  equal_nan=True)
+        gaps = np.diff((0,) + runs[PolicyKind.EVENT_TRIGGERED]
+                       .reallocation_ticks)
+        if config.epsilon_per_step == 1e3:   # no budget is ever blown
+            assert set(gaps) == {DEFAULT_MAX_REALLOCATION_PERIOD}
+        if config.epsilon_per_step == 0.05 and config.n_resources >= 3:
+            assert gaps.min() < DEFAULT_MAX_REALLOCATION_PERIOD
 
 
 # the closed-form descent rounds differently from the loop: 4.5e-13 at most
@@ -478,75 +535,29 @@ LOOP_REGRET_TOL = 1e-11
     ScenarioConfig(epsilon_per_step=0.05, n_resources=20, n_ticks=300),
     ScenarioConfig(n_resources=300, n_ticks=60, stationary_prefix=3),
 ], ids=["default", "eps0.05-n20-T300", "n300-T60-prefix3"])
-def test_engine_matches_loop_descent(monkeypatch, config):
-    # the whole tick loop with the closed-form descent (the bank from
-    # BANK_MIN_RESOURCES twins on) against the per-twin loop with the
-    # reference descent: rounding in regret must not move a trigger
-    loop = {}
-    with monkeypatch.context() as patch:
-        patch.setattr("twinalloc.engine.BANK_MIN_RESOURCES",
-                      config.n_resources + 1)
-        patch.setattr("twinalloc.engine.step_control", loop_step_control)
-        for seed in range(10):
-            loop[seed] = compare_policies(config, seed)
-    for seed, runs in loop.items():
+def test_engine_matches_loop_descent_reference(config):
+    # the engine's closed-form descent against the reference loop with the
+    # descent as one loop of clamped steps: rounding in regret must not
+    # move a trigger (the walks are the engine's, which the test above
+    # checks against numpy's substreams)
+    for seed in range(10):
+        walks = draw_walks(config, seed)
         for kind, got in compare_policies(config, seed).items():
-            want = runs[kind]
-            assert got.reallocation_ticks == want.reallocation_ticks
+            want = reference_run(config, kind, seed, walks,
+                                 twin_step=step_control_reference)
+            assert got.reallocation_ticks == want["reallocation_ticks"]
             assert np.array_equal(got.allocation_series,
-                                  want.allocation_series)
+                                  want["allocation_series"])
             assert np.array_equal(got.residual_inf_series,
-                                  want.residual_inf_series)
-            np.testing.assert_allclose(got.regret_series, want.regret_series,
-                                       rtol=0, atol=LOOP_REGRET_TOL,
+                                  want["residual_inf_series"])
+            np.testing.assert_allclose(got.regret_series,
+                                       want["regret_series"], rtol=0,
+                                       atol=LOOP_REGRET_TOL,
                                        err_msg=f"seed {seed} {kind.value}")
 
 
 def _forbidden(*args):
     raise AssertionError("the other twin path ran")
-
-
-def _run_path(monkeypatch, bank, config, seed, block):
-    """compare_policies with the twins forced onto one path: the array
-    bank, or the per-twin loop of DigitalTwin objects, stepping open-loop
-    schedules in row blocks of `block` cells."""
-    n = config.n_resources
-    with monkeypatch.context() as patch:
-        patch.setattr("twinalloc.engine.BANK_MIN_RESOURCES",
-                      n if bank else n + 1)
-        patch.setattr("twinalloc.engine.step_control" if bank
-                      else "twinalloc.engine.step_bank", _forbidden)
-        patch.setattr("twinalloc.engine._BLOCK", block)
-        return compare_policies(config, seed)
-
-
-@pytest.mark.parametrize("n", [20, engine.BANK_MIN_RESOURCES - 1,
-                               engine.BANK_MIN_RESOURCES, 300])
-@pytest.mark.parametrize("scenario", [
-    {},
-    {"epsilon_per_step": 0.05},
-    {"epsilon_per_step": 1e3},
-], ids=["default", "eps0.05", "period-cap"])
-def test_bank_matches_per_twin_path(monkeypatch, n, scenario):
-    # both twin paths, forced at every width, give the same bits: every
-    # regret, allocation and residual series and every reallocation tick,
-    # in the default row blocks and in ragged 7-row ones (60 = 8 * 7 + 4)
-    config = ScenarioConfig(n_resources=n, n_ticks=60, **scenario)
-    for block in (engine._BLOCK, 7 * n):
-        for seed in (0, 1, 2, 3, 4, 2 ** 64 - 1):
-            bank = _run_path(monkeypatch, True, config, seed, block)
-            loop = _run_path(monkeypatch, False, config, seed, block)
-            for kind, got in bank.items():
-                want = loop[kind]
-                assert got.reallocation_ticks == want.reallocation_ticks
-                for field in ("regret_series", "allocation_series",
-                              "residual_inf_series"):
-                    assert np.array_equal(getattr(got, field),
-                                          getattr(want, field)), (
-                                              block, seed, kind)
-            if scenario:   # each trigger rule fires
-                assert len(bank[PolicyKind.EVENT_TRIGGERED]
-                           .reallocation_ticks) >= 2
 
 
 @pytest.mark.parametrize("config", [
@@ -885,3 +896,8 @@ def test_load_scenario_errors(tmp_path):
     with pytest.raises(ScenarioValidationError) as err:
         load_scenario(bad)
     assert any("not valid JSON" in d for d in err.value.diagnostics)
+    twice = tmp_path / "twice.json"
+    twice.write_text('{"n_ticks": 50, "n_ticks": 70}')
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(twice)
+    assert err.value.diagnostics == ["duplicate scenario key: n_ticks"]
